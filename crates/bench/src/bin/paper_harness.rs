@@ -74,7 +74,7 @@
 //!
 //! Failures are propagated, not panicked: every experiment error reaches
 //! `main`, is printed to stderr, and exits non-zero (unknown experiments
-//! exit 2) — so CI and the chaos smoke can assert on exit codes.
+//! and unknown flags print usage and exit 2) — so CI and the chaos smoke can assert on exit codes.
 
 use kgm_bench::*;
 use kgm_common::{KgmError, Oid, OidSpace, Result, Value};
@@ -857,6 +857,16 @@ fn validate_json_files(files: &[String]) -> ExitCode {
     }
 }
 
+/// Print `msg` and the command synopsis to stderr; exit code 2.
+fn usage(msg: &str) -> ExitCode {
+    eprintln!("paper-harness: {msg}");
+    eprintln!(
+        "usage: paper-harness [e1..e10|all|validate-json|scale-smoke|explain|prov-smoke|\
+         update|serve-bench] [args..] [--profile] [--trace] [--threads N]"
+    );
+    ExitCode::from(2)
+}
+
 fn run_cli() -> Result<ExitCode> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let profile = raw.iter().any(|a| a == "--profile");
@@ -867,13 +877,25 @@ fn run_cli() -> Result<ExitCode> {
     // bit-identical for any value; only wall-clock changes.
     let mut threads_flag: Option<usize> = None;
     let mut args: Vec<String> = Vec::new();
-    let mut iter = raw.iter().peekable();
+    let mut iter = raw.iter();
     while let Some(a) = iter.next() {
-        if let Some(v) = a.strip_prefix("--threads=") {
-            threads_flag = v.parse().ok();
+        let threads_value = if let Some(v) = a.strip_prefix("--threads=") {
+            Some(Some(v))
         } else if a == "--threads" {
-            threads_flag = iter.next().and_then(|s| s.parse().ok());
-        } else if !a.starts_with("--") {
+            Some(iter.next().map(String::as_str))
+        } else {
+            None
+        };
+        if let Some(v) = threads_value {
+            match v.and_then(|s| s.parse().ok()) {
+                Some(n) => threads_flag = Some(n),
+                None => return Ok(usage(&format!("`{a}` needs a worker count"))),
+            }
+        } else if a == "--profile" || a == "--trace" {
+            // Read above.
+        } else if a.starts_with('-') {
+            return Ok(usage(&format!("unknown flag `{a}`")));
+        } else {
             args.push(a.clone());
         }
     }

@@ -19,6 +19,12 @@
 //! With class ids in the dedup path the columnar store rejects duplicates
 //! exactly like the row-oriented `FxHashSet<Vec<Value>>` it replaced, while
 //! exact ids in the columns preserve first-inserted tuples verbatim.
+//!
+//! Only numbers have more than one representation per class, so one map
+//! serves both levels: the class map's key *is* the class's first member,
+//! and a value of the same type found there is that member exactly. Other
+//! representations (`Float(1.0)` in the class of `Int(1)`) live in a small
+//! side map.
 
 use crate::hash::FxHashMap;
 use crate::value::{Value, ValueType};
@@ -33,11 +39,13 @@ pub struct ValuePool {
     vals: Vec<Value>,
     /// Exact id → class id (the exact id of the class's first member).
     class_of: Vec<u64>,
-    /// Exact representation → exact id. The `ValueType` component splits the
-    /// cross-numeric `Int`/`Float` equality class into its exact members.
-    exact_ids: FxHashMap<(ValueType, Value), u64>,
-    /// `Value`-equality class → class id.
+    /// `Value`-equality class → class id, keyed by the class's first
+    /// member (whose exact id the class id is).
     class_ids: FxHashMap<Value, u64>,
+    /// Exact representation → exact id, for members that are not the first
+    /// of their class. The `ValueType` component splits the cross-numeric
+    /// `Int`/`Float` equality class into its exact members.
+    other_ids: FxHashMap<(ValueType, Value), u64>,
     /// Indirect heap bytes owned by interned values (string payloads); the
     /// direct `Vec`/map footprint is derived from capacities on demand.
     str_bytes: usize,
@@ -61,29 +69,49 @@ impl ValuePool {
     /// maps to the same id; `Int(1)` and `Float(1.0)` get distinct exact ids
     /// in the same equality class.
     pub fn intern(&mut self, v: &Value) -> u64 {
-        if let Some(&id) = self.exact_ids.get(&(v.value_type(), v.clone())) {
-            return id;
+        match self.probe(v) {
+            Ok(id) => id,
+            Err(class) => self.intern_new(v.clone(), class),
         }
-        self.intern_new(v.clone())
     }
 
     /// Intern an owned value.
     pub fn intern_owned(&mut self, v: Value) -> u64 {
-        if let Some(&id) = self.exact_ids.get(&(v.value_type(), v.clone())) {
-            return id;
+        match self.probe(&v) {
+            Ok(id) => id,
+            Err(class) => self.intern_new(v, class),
         }
-        self.intern_new(v)
     }
 
-    fn intern_new(&mut self, v: Value) -> u64 {
+    /// `Ok(exact id)` if `v`'s representation is interned, else
+    /// `Err(class id)` of the class it would join, if any.
+    fn probe(&self, v: &Value) -> std::result::Result<u64, Option<u64>> {
+        match self.class_ids.get_key_value(v) {
+            Some((first, &class)) if first.value_type() == v.value_type() => Ok(class),
+            Some((_, &class)) => match self.other_ids.get(&(v.value_type(), v.clone())) {
+                Some(&id) => Ok(id),
+                None => Err(Some(class)),
+            },
+            None => Err(None),
+        }
+    }
+
+    fn intern_new(&mut self, v: Value, class: Option<u64>) -> u64 {
         let id = self.vals.len() as u64;
         if let Value::Str(s) = &v {
             self.str_bytes += s.len();
         }
-        let class = *self.class_ids.entry(v.clone()).or_insert(id);
-        self.class_of.push(class);
-        self.vals.push(v.clone());
-        self.exact_ids.insert((v.value_type(), v), id);
+        match class {
+            Some(class) => {
+                self.class_of.push(class);
+                self.other_ids.insert((v.value_type(), v.clone()), id);
+            }
+            None => {
+                self.class_of.push(id);
+                self.class_ids.insert(v.clone(), id);
+            }
+        }
+        self.vals.push(v);
         id
     }
 
@@ -110,6 +138,13 @@ impl ValuePool {
     /// containing one) can be present.
     pub fn lookup(&self, v: &Value) -> Option<u64> {
         self.class_ids.get(v).copied()
+    }
+
+    /// Read-only probe: the **exact id** of `v`'s representation, if it was
+    /// ever interned. The chase resolves head constants with this once per
+    /// rule evaluation.
+    pub fn find_exact(&self, v: &Value) -> Option<u64> {
+        self.probe(v).ok()
     }
 
     /// Resolve an exact id back to the value it was interned from.
@@ -143,11 +178,11 @@ impl ValuePool {
         let u64s = std::mem::size_of::<u64>();
         // FxHashMap entry: key + value + ~1/8 control overhead per slot,
         // with hashbrown's ~8/7 capacity slack folded into a flat factor.
-        let exact_entry = std::mem::size_of::<(ValueType, Value)>() + u64s + 8;
+        let other_entry = std::mem::size_of::<(ValueType, Value)>() + u64s + 8;
         let class_entry = val + u64s + 8;
         self.vals.capacity() * val
             + self.class_of.capacity() * u64s
-            + self.exact_ids.capacity() * exact_entry
+            + self.other_ids.capacity() * other_entry
             + self.class_ids.capacity() * class_entry
             + self.str_bytes
     }
@@ -172,6 +207,22 @@ mod tests {
         let c = pool.intern(&Value::Float(2.5));
         assert_ne!(pool.class(a), pool.class(c));
         assert_eq!(pool.get(c), &Value::Float(2.5));
+    }
+
+    #[test]
+    fn every_representation_of_a_class_keeps_its_own_exact_id() {
+        let mut pool = ValuePool::new();
+        let f = pool.intern(&Value::Float(2.0));
+        let i = pool.intern(&Value::Int(2));
+        let s = pool.intern(&Value::str("2"));
+        assert_eq!(pool.intern(&Value::Int(2)), i);
+        assert_eq!(pool.intern(&Value::Float(2.0)), f);
+        assert_eq!(pool.class(i), f, "the first member names the class");
+        assert_ne!(pool.class(s), f);
+        assert_eq!(pool.find_exact(&Value::Int(2)), Some(i));
+        assert_eq!(pool.find_exact(&Value::Int(3)), None);
+        assert_eq!(pool.get(i).value_type(), ValueType::Int);
+        assert_eq!(pool.len(), 3);
     }
 
     #[test]
@@ -211,6 +262,12 @@ mod tests {
         let a = pool.intern(&Value::Int(3));
         assert_eq!(pool.lookup(&Value::Float(3.0)), Some(pool.class(a)));
         assert_eq!(pool.lookup(&Value::Int(4)), None);
+        assert_eq!(pool.find_exact(&Value::Int(3)), Some(a));
+        assert_eq!(
+            pool.find_exact(&Value::Float(3.0)),
+            None,
+            "exact, not class"
+        );
         assert_eq!(pool.len(), 1, "lookup must not intern");
     }
 

@@ -20,9 +20,10 @@
 use crate::analysis::{AggMode, ProgramAnalysis};
 use crate::ast::{AggregateFunc, Expr, Program, Rule, RuleStep, Term, Var};
 use crate::bindings::SourceRegistry;
-use crate::eval::{eval, EvalCtx};
+use crate::eval::{eval_in, EvalCtx, VarSource};
 use kgm_common::{
     FxHashMap, FxHashSet, KgmError, Oid, OidGen, OidSpace, Result, SkolemRegistry, Value,
+    ValuePool,
 };
 use kgm_runtime::sync::CancelToken;
 use kgm_runtime::telemetry;
@@ -43,12 +44,210 @@ use std::time::{Duration, Instant};
 // canonical path.
 
 pub use crate::factdb::FactDb;
-use crate::factdb::{fact_id, FactId, Verdict};
+use crate::factdb::{class_hash, fact_id, BatchRow, FactId, Relation, Verdict};
 
-/// Provenance sidecar aligned 1:1 with an `out` batch: the rule id and the
-/// body-atom-order parent fact ids behind each emitted head tuple. Always
-/// empty when `EngineConfig::provenance` is off.
+/// Provenance sidecar aligned 1:1 with the records of a [`Heads`] buffer:
+/// the rule id and the body-atom-order parent fact ids behind each emitted
+/// head tuple. Always empty when `EngineConfig::provenance` is off.
 type ProvOut = Vec<(u32, Box<[FactId]>)>;
+
+// ---------------------------------------------------------------------
+// Ids in the hot path
+// ---------------------------------------------------------------------
+//
+// The chase binds, joins and emits pool ids, not `Value`s. A binding is a
+// `Vec<u64>` with one slot per rule variable holding an **exact** id (so a
+// derived tuple keeps the representation it was matched with); joins and
+// the repeated-variable check compare **class** ids (`ValuePool::classes`),
+// under which `Int(1) == Float(1.0)`. Values a firing computes — assignment
+// results, labelled nulls, head constants the pool never saw — are not in
+// the frozen pool: they go to the `pending` table of the `Heads` buffer the
+// firing writes to, referenced by a `PENDING`-tagged id, and the single
+// writer interns them at merge time.
+
+/// Binding slot of a variable that is not bound.
+const UNBOUND: u64 = u64::MAX;
+
+/// Tag bit of an id that indexes a pending value instead of the pool.
+const PENDING: u64 = 1 << 63;
+
+/// Header flag of a record emitted by a sharded evaluation (the records
+/// `ChaseProfile::merge_dedup_hits` counts).
+const SHARDED: u64 = 1 << 31;
+
+/// Header bits holding a record's arity.
+const ARITY_MASK: u64 = 0xffff;
+
+/// The pending-table index of a tagged id.
+#[inline]
+fn pending_index(id: u64) -> Option<usize> {
+    (id & PENDING != 0 && id != UNBOUND).then_some((id & !PENDING) as usize)
+}
+
+/// Shift the tagged ids among `ids` by `offset` pending entries (for a
+/// buffer whose pending table is appended behind another one).
+fn rebase(ids: &mut [u64], offset: usize) {
+    if offset == 0 {
+        return;
+    }
+    for id in ids {
+        if pending_index(*id).is_some() {
+            *id += offset as u64;
+        }
+    }
+}
+
+/// Head tuples emitted by rule firings: the chase's emission buffer.
+#[derive(Default)]
+struct Heads {
+    /// One record per tuple: a header word (`pred << 32 | flags | arity`,
+    /// `pred` an engine predicate id) followed by the tuple's ids.
+    ids: Vec<u64>,
+    /// Values behind `PENDING`-tagged ids, of records and of the bindings
+    /// that write here.
+    pending: Vec<Value>,
+    /// Provenance sidecar, one entry per record.
+    prov: ProvOut,
+    /// Number of records.
+    len: usize,
+}
+
+impl Heads {
+    /// Park `v` in the pending table; returns its tagged id.
+    fn push_value(&mut self, v: Value) -> u64 {
+        self.pending.push(v);
+        PENDING | (self.pending.len() - 1) as u64
+    }
+
+    /// Move `other`'s records and pending values behind this buffer's,
+    /// returning the offset its tagged ids moved by.
+    fn append(&mut self, mut other: Heads) -> usize {
+        let offset = self.pending.len();
+        rebase(&mut other.ids, offset);
+        self.ids.append(&mut other.ids);
+        self.pending.append(&mut other.pending);
+        self.prov.append(&mut other.prov);
+        self.len += other.len;
+        offset
+    }
+}
+
+/// Variable reads through an id binding: pool ids decode through the pool,
+/// tagged ids through the pending table they index.
+struct IdVars<'a> {
+    binding: &'a [u64],
+    pool: &'a ValuePool,
+    pending: &'a [Value],
+}
+
+impl IdVars<'_> {
+    fn get(&self, id: u64) -> &Value {
+        match pending_index(id) {
+            Some(i) => &self.pending[i],
+            None => self.pool.get(id),
+        }
+    }
+
+    /// The value of a variable the rule's safety check guarantees bound.
+    fn bound(&self, v: Var) -> Value {
+        let id = self.binding[v.0 as usize];
+        assert!(id != UNBOUND, "variable #{} is unbound", v.0);
+        self.get(id).clone()
+    }
+
+    /// The class id of `id`'s value, `None` if no equal value is stored.
+    fn class(&self, id: u64) -> Option<u64> {
+        match pending_index(id) {
+            Some(i) => self.pool.lookup(&self.pending[i]),
+            None => Some(self.pool.classes()[id as usize]),
+        }
+    }
+}
+
+impl VarSource for IdVars<'_> {
+    fn value(&self, v: Var) -> Option<Value> {
+        let id = *self.binding.get(v.0 as usize)?;
+        (id != UNBOUND).then(|| self.get(id).clone())
+    }
+}
+
+/// The frozen database as one evaluation phase sees it: relations resolved
+/// by engine predicate id, plus the pool and its class table.
+struct View<'a> {
+    pool: &'a ValuePool,
+    classes: &'a [u64],
+    rels: Vec<Option<&'a Relation>>,
+}
+
+impl<'a> View<'a> {
+    fn new(db: &'a FactDb, rel_ids: &[Option<u32>]) -> View<'a> {
+        View {
+            pool: db.pool(),
+            classes: db.pool().classes(),
+            rels: rel_ids
+                .iter()
+                .map(|r| r.map(|pid| db.rel_at(pid)))
+                .collect(),
+        }
+    }
+
+    /// Physical rows of an engine predicate (0 without a relation).
+    fn rows(&self, pred: usize) -> usize {
+        self.rels[pred].map_or(0, Relation::rows)
+    }
+}
+
+/// Where an index-key column of an [`AtomStep`] comes from.
+enum KeyTerm {
+    /// A constant of the rule text, resolved to its class id per evaluation.
+    Const(Value),
+    /// A variable slot bound by an earlier atom of the order.
+    Slot(usize),
+}
+
+/// One body atom at its place in a compiled join order.
+struct AtomStep {
+    /// Body-atom index.
+    atom: usize,
+    /// Engine predicate id.
+    pred: usize,
+    arity: usize,
+    /// Term positions bound on entry — constants and variables bound by
+    /// earlier atoms — ascending: the posting-list index key.
+    positions: Vec<usize>,
+    /// Source of each key column, aligned with `positions`.
+    key: Vec<KeyTerm>,
+    /// `(column, slot)` of each variable this atom binds first.
+    binds: Vec<(usize, usize)>,
+    /// `(column, slot)` of each repeat, within this atom, of a variable it
+    /// binds: compared on class ids.
+    checks: Vec<(usize, usize)>,
+}
+
+/// A head term resolved for one rule evaluation.
+enum HeadTerm {
+    /// A constant the pool holds, as its exact id.
+    Id(u64),
+    /// A constant the pool never saw: parked as a pending value per firing.
+    Value(Value),
+    /// A variable slot (bound, or an existential).
+    Slot(usize),
+}
+
+/// The join's callback per complete body match: the binding and the
+/// join-order trail of matched fact ids.
+type OnMatch<'a> = dyn FnMut(&mut [u64], &[FactId]) -> Result<()> + 'a;
+
+/// A compiled join order resolved against the frozen pool for one rule
+/// evaluation.
+struct Plan<'r> {
+    steps: &'r [AtomStep],
+    /// Per step, the index key with constant columns filled in; `None` when
+    /// a constant was never interned, so the atom cannot match.
+    keys: Vec<Option<Vec<u64>>>,
+    /// Per head atom: the record header and its terms.
+    heads: Vec<(u64, Vec<HeadTerm>)>,
+}
 
 // ---------------------------------------------------------------------
 // Engine
@@ -233,10 +432,11 @@ pub struct ChaseProfile {
     pub shards_spawned: usize,
     /// Candidate bindings shard workers handed to the merge writer.
     pub worker_candidates: usize,
-    /// Head tuples the merge writer found already present in the database.
-    /// They still flow through the normal end-of-iteration insert (and are
-    /// counted in `duplicates_rejected`) so parallel and sequential runs
-    /// stay bit-identical; this counter just sizes the redundant work.
+    /// Head tuples that sharded evaluations emitted and the frozen store
+    /// already held, read off the end-of-iteration insert's dedup. They are
+    /// counted in `duplicates_rejected` like any duplicate, so parallel and
+    /// sequential runs stay bit-identical; this counter just sizes the
+    /// redundant work.
     pub merge_dedup_hits: usize,
     /// Dedup partitions spawned by the hash-partitioned parallel merge
     /// across all insert batches (0 when every batch applied serially).
@@ -355,10 +555,23 @@ struct RuleMeta {
     /// everything from `pure_steps` on must run on the single writer in
     /// deterministic match order.
     pure_steps: usize,
+    /// Engine predicate id of each body atom.
+    body_preds: Vec<usize>,
+    /// Engine predicate id of each head atom.
+    head_preds: Vec<usize>,
+    /// Engine predicate id of each negated step's atom (`usize::MAX` for
+    /// the other steps).
+    step_preds: Vec<usize>,
+    /// Join order in written atom order (exact aggregates).
+    natural: Vec<AtomStep>,
+    /// Join order of a full pass.
+    full: Vec<AtomStep>,
+    /// Join order of a pass restricted to a delta of body atom `i`.
+    delta: Vec<Vec<AtomStep>>,
     /// `(predicate, key positions)` of every hash index any of this rule's
     /// join orders can probe — built eagerly once per fixpoint iteration so
     /// the parallel phase reads a frozen database.
-    index_needs: Vec<(String, Vec<usize>)>,
+    index_needs: Vec<(usize, Vec<usize>)>,
 }
 
 /// The resource governor: one cheap check, run at stratum boundaries and
@@ -514,6 +727,9 @@ pub struct Engine {
     config: EngineConfig,
     skolems: Arc<SkolemRegistry>,
     meta: Vec<RuleMeta>,
+    /// Every predicate the rules mention; the index is the engine
+    /// predicate id that compiled rules, watermarks and emitted records use.
+    preds: Vec<String>,
     /// Process-unique identity, stamped into persisted [`ChaseState`].
     token: u64,
 }
@@ -534,6 +750,16 @@ impl Engine {
             )));
         }
         let mut meta = Vec::with_capacity(program.rules.len());
+        let mut preds: Vec<String> = Vec::new();
+        let mut pred_ids: FxHashMap<String, usize> = FxHashMap::default();
+        let mut pred_id = |name: &str| -> usize {
+            if let Some(&id) = pred_ids.get(name) {
+                return id;
+            }
+            preds.push(name.to_string());
+            pred_ids.insert(name.to_string(), preds.len() - 1);
+            preds.len() - 1
+        };
         for (ri, rule) in program.rules.iter().enumerate() {
             let stratum = rule
                 .head
@@ -598,6 +824,23 @@ impl Engine {
                     RuleStep::Negated(_) => false,
                 })
                 .unwrap_or(rule.steps.len());
+            let body_preds: Vec<usize> = rule.body.iter().map(|a| pred_id(&a.predicate)).collect();
+            let head_preds = rule.head.iter().map(|a| pred_id(&a.predicate)).collect();
+            let step_preds = rule
+                .steps
+                .iter()
+                .map(|s| match s {
+                    RuleStep::Negated(a) => pred_id(&a.predicate),
+                    _ => usize::MAX,
+                })
+                .collect();
+            let natural: Vec<usize> = (0..rule.body.len()).collect();
+            let natural = compile_order(rule, &natural, &body_preds);
+            let full = compile_order(rule, &join_order(rule, None), &body_preds);
+            let delta: Vec<Vec<AtomStep>> = (0..rule.body.len())
+                .map(|ai| compile_order(rule, &join_order(rule, Some(ai)), &body_preds))
+                .collect();
+            let index_needs = index_needs(std::iter::once(&natural).chain([&full]).chain(&delta));
             meta.push(RuleMeta {
                 stratum,
                 group_vars,
@@ -606,7 +849,13 @@ impl Engine {
                 agg_mode,
                 agg_step,
                 pure_steps,
-                index_needs: static_index_needs(rule),
+                body_preds,
+                head_preds,
+                step_preds,
+                natural,
+                full,
+                delta,
+                index_needs,
             });
         }
         Ok(Engine {
@@ -615,6 +864,7 @@ impl Engine {
             config,
             skolems: Arc::new(SkolemRegistry::new()),
             meta,
+            preds,
             token: ENGINE_TOKENS.fetch_add(1, Ordering::Relaxed),
         })
     }
@@ -636,6 +886,8 @@ impl Engine {
 
     /// Load every `@input` binding of the program from `registry` into `db`.
     pub fn load_inputs(&self, registry: &SourceRegistry, db: &mut FactDb) -> Result<usize> {
+        let _span =
+            kgm_runtime::span!("engine.load_inputs", "{} inputs", self.program.inputs.len());
         let mut n = 0;
         for b in &self.program.inputs {
             let facts = registry.load(b)?;
@@ -715,10 +967,11 @@ impl Engine {
     /// [`Engine::apply_update`] (resumed evaluation).
     ///
     /// `seed` switches every stratum from a full first pass to
-    /// delta-restricted passes seeded with the given per-predicate physical
-    /// watermarks — the insert-only incremental path: everything at or past
-    /// a watermark (new EDB facts and this run's own derivations) is the
-    /// delta, everything before it is the already-chased base.
+    /// delta-restricted passes seeded with the given physical watermarks
+    /// (indexed by engine predicate id) — the insert-only incremental path:
+    /// everything at or past a watermark (new EDB facts and this run's own
+    /// derivations) is the delta, everything before it is the already-chased
+    /// base.
     ///
     /// `resume` carries a prior run's [`ChaseState`]: the null generator
     /// continues past `null_count` (ids already embedded in stored facts
@@ -729,7 +982,7 @@ impl Engine {
         &self,
         db: &mut FactDb,
         root_span: &telemetry::SpanGuard,
-        seed: Option<&FxHashMap<String, usize>>,
+        seed: Option<&[usize]>,
         resume: Option<ChaseState>,
     ) -> Result<RunStats> {
         let t_run = Instant::now();
@@ -782,6 +1035,9 @@ impl Engine {
             ),
         };
         let nulls_base = null_gen.count() as usize;
+        // Engine predicate id → relation; insert_out fills in relations as
+        // their first tuples arrive.
+        let mut rel_ids: Vec<Option<u32>> = self.preds.iter().map(|p| db.pred_id(p)).collect();
 
         let strata = self.analysis.stratification.count;
         stats.strata = strata;
@@ -828,11 +1084,10 @@ impl Engine {
                 if self.meta[ri].agg_mode == Some(AggMode::Exact) {
                     governed!();
                     let t_rule = Instant::now();
-                    for (pred, positions) in &self.meta[ri].index_needs {
-                        db.ensure_index(pred, positions);
-                    }
-                    let (new_facts, new_prov) = match self
-                        .eval_exact_agg_rule(db, ri, rule, &null_gen, &mut nulls, &interrupt)
+                    self.build_indexes(db, &rel_ids, &[ri]);
+                    let view = View::new(db, &rel_ids);
+                    let new_facts = match self
+                        .eval_exact_agg_rule(&view, ri, rule, &null_gen, &mut nulls, &interrupt)
                     {
                         Ok(v) => v,
                         // Interrupted mid-join: the whole rule evaluation is
@@ -844,9 +1099,9 @@ impl Engine {
                             None => return Err(e),
                         },
                     };
-                    let emitted = new_facts.len();
+                    let emitted = new_facts.len;
                     let inserted =
-                        self.insert_out(db, new_facts, new_prov, &mut stats.profile)?;
+                        self.insert_out(db, &mut rel_ids, new_facts, &mut stats.profile)?;
                     stats.derived_facts += inserted;
                     stats.duplicates_rejected += emitted - inserted;
                     let prof = &mut stats.profile.rules[ri];
@@ -866,13 +1121,13 @@ impl Engine {
                     derived_before, dups_before, nulls_before, null_gen.count() as usize);
                 continue;
             }
-            // Delta bookkeeping: predicate → physical row count before this
-            // iteration. A seeded run starts every stratum in delta mode:
-            // the seed watermarks (pre-update sizes) make "everything the
-            // update added or derived so far" the first delta.
+            // Delta bookkeeping: physical row count per engine predicate
+            // before this iteration. A seeded run starts every stratum in
+            // delta mode: the seed watermarks (pre-update sizes) make
+            // "everything the update added or derived so far" the first delta.
             let (mut first, mut watermark) = match seed {
-                None => (true, FxHashMap::default()),
-                Some(base) => (false, base.clone()),
+                None => (true, vec![0; self.preds.len()]),
+                Some(base) => (false, base.to_vec()),
             };
             let mut reached_fixpoint = false;
             for _iter in 0..self.config.max_iterations {
@@ -881,31 +1136,35 @@ impl Engine {
                 // Freeze the database for this iteration: build every index
                 // any rule's join order can probe, so the evaluation phase
                 // (possibly running on shard workers) is strictly read-only.
-                for &ri in &rules {
-                    for (pred, positions) in &self.meta[ri].index_needs {
-                        db.ensure_index(pred, positions);
-                    }
-                }
-                let mut out: Vec<(String, Vec<Value>)> = Vec::new();
-                let mut prov_out: ProvOut = Vec::new();
+                self.build_indexes(db, &rel_ids, &rules);
+                let view = View::new(db, &rel_ids);
+                let mut out = Heads::default();
                 let mut hit: Option<Termination> = None;
                 for &ri in &rules {
                     let rule = &self.program.rules[ri];
                     let result = if first {
                         self.eval_rule(
-                            db, ri, rule, None, &null_gen, &mut nulls, &mut mono, &mut out,
-                            &mut prov_out, &mut stats.profile, &interrupt,
+                            &view,
+                            ri,
+                            rule,
+                            None,
+                            &null_gen,
+                            &mut nulls,
+                            &mut mono,
+                            &mut out,
+                            &mut stats.profile,
+                            &interrupt,
                         )
                     } else {
                         // Delta-restricted runs: one per body atom whose
                         // predicate changed in the previous iteration.
                         let mut r = Ok(());
-                        for (ai, atom) in rule.body.iter().enumerate() {
-                            let prev = watermark.get(&atom.predicate).copied().unwrap_or(0);
-                            let cur = db.rows_of(&atom.predicate);
+                        for (ai, &pred) in self.meta[ri].body_preds.iter().enumerate() {
+                            let prev = watermark[pred];
+                            let cur = view.rows(pred);
                             if cur > prev {
                                 r = self.eval_rule(
-                                    db,
+                                    &view,
                                     ri,
                                     rule,
                                     Some((ai, prev..cur)),
@@ -913,7 +1172,6 @@ impl Engine {
                                     &mut nulls,
                                     &mut mono,
                                     &mut out,
-                                    &mut prov_out,
                                     &mut stats.profile,
                                     &interrupt,
                                 );
@@ -940,22 +1198,17 @@ impl Engine {
                     // previous insert batch — the prefix-consistency
                     // guarantee of graceful degradation.
                     drop(out);
-                    drop(prov_out);
                     stop_run!(t);
                 }
                 // Advance watermarks to the lengths *before* inserting the
                 // new facts, so the next iteration's deltas cover them.
-                let mut preds: FxHashSet<&String> = FxHashSet::default();
                 for &ri in &rules {
-                    for a in &self.program.rules[ri].body {
-                        preds.insert(&a.predicate);
+                    for &pred in &self.meta[ri].body_preds {
+                        watermark[pred] = view.rows(pred);
                     }
                 }
-                for p in preds {
-                    watermark.insert(p.clone(), db.rows_of(p));
-                }
-                let emitted = out.len();
-                let inserted = self.insert_out(db, out, prov_out, &mut stats.profile)?;
+                let emitted = out.len;
+                let inserted = self.insert_out(db, &mut rel_ids, out, &mut stats.profile)?;
                 stats.derived_facts += inserted;
                 stats.duplicates_rejected += emitted - inserted;
                 // Post-insert check (the fact cap's historical timing): the
@@ -1045,6 +1298,19 @@ impl Engine {
         );
         telemetry::histogram_record("chase.iterations_per_run", stats.iterations as u64);
         Ok(stats)
+    }
+
+    /// Build (or catch up) every index the join orders of `rules` can probe,
+    /// under one `chase.index_build` span.
+    fn build_indexes(&self, db: &mut FactDb, rel_ids: &[Option<u32>], rules: &[usize]) {
+        let _span = kgm_runtime::span!("chase.index_build", "{} rules", rules.len());
+        for &ri in rules {
+            for (pred, positions) in &self.meta[ri].index_needs {
+                if let Some(pid) = rel_ids[*pred] {
+                    db.ensure_index_at(pid, positions);
+                }
+            }
+        }
     }
 
     /// The strict-mode error for a governed stop: the historical `Err`
@@ -1188,11 +1454,7 @@ impl Engine {
             // Insert-only: seed every stratum's watermarks with the
             // pre-update physical sizes, making the new EDB facts (and the
             // update run's own derivations) the delta.
-            let mut base: FxHashMap<String, usize> = FxHashMap::default();
-            for p in db.predicates() {
-                let n = db.rows_of(&p);
-                base.insert(p, n);
-            }
+            let base: Vec<usize> = self.preds.iter().map(|p| db.rows_of(p)).collect();
             for (pred, tuple) in &update.inserts {
                 if db.insert_ref(pred, tuple)? {
                     inserted_new += 1;
@@ -1320,72 +1582,128 @@ impl Engine {
     /// Insert a batch of emitted head tuples into `db`, in emission order,
     /// returning how many were new.
     ///
-    /// Sequentially (one thread, or a batch under `min_parallel_batch`)
-    /// this is probe-and-insert per tuple. Otherwise deduplication runs
-    /// first as a *parallel* phase: candidates are hash-partitioned across
-    /// workers, each worker owning one slice of the tuple-hash space and
-    /// issuing an Insert/Dup verdict per candidate (frozen-store probe plus
-    /// first-occurrence-in-batch; equal tuples always share a partition).
-    /// The serial apply then walks the batch in the original order acting
-    /// on the verdicts. Verdicts are a pure function of the frozen store
-    /// and the batch — the partition count only divides the work — and the
+    /// The single writer first interns the batch's pending values (in
+    /// order of first reference) and rewrites their tagged ids, so every
+    /// record is exact ids; dedup then compares class ids only. It runs as
+    /// a verdict phase: candidates are hash-partitioned across workers, each
+    /// worker owning one slice of the tuple-hash space and issuing a verdict
+    /// per candidate (frozen-store probe plus first-occurrence-in-batch;
+    /// equal tuples always share a partition). One thread, or a batch under
+    /// `min_parallel_batch`, makes that a single partition run inline. The
+    /// serial apply then walks the batch in the original order acting on
+    /// the verdicts. Verdicts are a pure function of the frozen store and
+    /// the batch — the partition count only divides the work — and the
     /// apply loop visits every candidate in exactly the sequential order
     /// (fault-injection checkpoints included), so the insertion order, and
     /// therefore every downstream delta range, null OID and counter, is
     /// bit-identical at any `KGM_THREADS`.
     ///
-    /// With `EngineConfig::provenance` on, `prov` is the sidecar aligned
-    /// 1:1 with `out`; the entry of each tuple that actually inserts
-    /// becomes its derivation edge (first derivation wins — duplicates
-    /// never touch the store), keyed by the [`FactId`] the insert returns.
+    /// With `EngineConfig::provenance` on, the entry of each tuple that
+    /// actually inserts becomes its derivation edge (first derivation wins
+    /// — duplicates never touch the store), keyed by the new [`FactId`].
     /// Because the insertion order is bit-identical at any thread count,
     /// so is the recorded edge set.
+    ///
+    /// `rel_ids` maps engine predicate ids to relations; a predicate's
+    /// relation is created at its first inserted tuple.
     fn insert_out(
         &self,
         db: &mut FactDb,
-        out: Vec<(String, Vec<Value>)>,
-        prov: ProvOut,
+        rel_ids: &mut [Option<u32>],
+        out: Heads,
         profile: &mut ChaseProfile,
     ) -> Result<usize> {
+        let span = kgm_runtime::span!("chase.insert", "{} facts", out.len);
+        let Heads {
+            mut ids,
+            pending,
+            prov,
+            len,
+        } = out;
         let record = self.config.provenance;
-        debug_assert!(!record || prov.len() == out.len(), "prov sidecar misaligned");
+        debug_assert!(!record || prov.len() == len, "prov sidecar misaligned");
+        // Record bounds, with pending values interned on first reference.
+        let mut recs: Vec<(usize, u64)> = Vec::with_capacity(len);
+        let mut resolved: Vec<u64> = vec![UNBOUND; pending.len()];
+        let pool = db.pool_mut();
+        let mut at = 0;
+        while at < ids.len() {
+            let header = ids[at];
+            let arity = (header & ARITY_MASK) as usize;
+            for id in &mut ids[at + 1..at + 1 + arity] {
+                if let Some(i) = pending_index(*id) {
+                    if resolved[i] == UNBOUND {
+                        resolved[i] = pool.intern(&pending[i]);
+                    }
+                    *id = resolved[i];
+                }
+            }
+            recs.push((at + 1, header));
+            at += 1 + arity;
+        }
+        let classes = db.pool().classes();
+        let rows: Vec<BatchRow<'_>> = recs
+            .iter()
+            .map(|&(start, header)| {
+                let pred = (header >> 32) as u32;
+                let tuple = &ids[start..start + (header & ARITY_MASK) as usize];
+                BatchRow {
+                    pred,
+                    rel: rel_ids[pred as usize],
+                    ids: tuple,
+                    hash: class_hash(tuple, classes),
+                }
+            })
+            .collect();
         let threads = self.config.threads;
-        let mut inserted = 0usize;
-        if threads > 1 && out.len() >= self.config.min_parallel_batch.max(1) {
-            let verdicts = db.insert_batch_verdicts(&out, threads);
-            profile.merge_partitions += threads.min(out.len()).max(1);
-            for (i, (pred, tuple)) in out.into_iter().enumerate() {
-                if let Some(msg) = kgm_runtime::fault::trip("chase.insert") {
-                    return Err(KgmError::Internal(format!("{msg} ({pred})")));
-                }
-                if verdicts[i] == Verdict::Insert {
-                    let Some(id) = db.insert_id(&pred, &tuple)? else {
-                        return Err(KgmError::Internal(format!(
-                            "partitioned merge verdict diverged on `{pred}`"
-                        )));
-                    };
-                    db.mark_derived(id);
-                    if record {
-                        let (rule, parents) = &prov[i];
-                        db.record_prov(id, *rule, parents);
-                    }
-                    inserted += 1;
-                }
-            }
+        let partitions = if threads > 1 && len >= self.config.min_parallel_batch.max(1) {
+            profile.merge_partitions += threads.min(len).max(1);
+            threads
         } else {
-            for (i, (pred, tuple)) in out.into_iter().enumerate() {
-                if let Some(msg) = kgm_runtime::fault::trip("chase.insert") {
-                    return Err(KgmError::Internal(format!("{msg} ({pred})")));
-                }
-                if let Some(id) = db.insert_id(&pred, &tuple)? {
-                    db.mark_derived(id);
-                    if record {
-                        let (rule, parents) = &prov[i];
-                        db.record_prov(id, *rule, parents);
-                    }
-                    inserted += 1;
-                }
+            1
+        };
+        let verdicts = db.insert_batch_verdicts(&rows, partitions);
+        let dedup_hits = (0..len)
+            .filter(|&i| recs[i].1 & SHARDED != 0 && verdicts[i] == Verdict::Present)
+            .count();
+        let mut inserted = 0usize;
+        for (i, row) in rows.iter().enumerate() {
+            let pred = row.pred as usize;
+            if let Some(msg) = kgm_runtime::fault::trip("chase.insert") {
+                return Err(KgmError::Internal(format!("{msg} ({})", self.preds[pred])));
             }
+            let pid = match rel_ids[pred] {
+                Some(pid) => pid,
+                None => {
+                    let pid = db.relation_id(&self.preds[pred], row.ids.len())?;
+                    rel_ids[pred] = Some(pid);
+                    pid
+                }
+            };
+            db.check_arity(pid, row.ids.len())?;
+            let novel = verdicts[i] == Verdict::Insert;
+            debug_assert!(
+                !novel
+                    || db
+                        .rel_at(pid)
+                        .find_ids(row.hash, row.ids, db.pool().classes())
+                        .is_none(),
+                "merge verdict diverged on `{}`",
+                self.preds[pred]
+            );
+            if novel {
+                let id = db.append_derived(pid, row.hash, row.ids)?;
+                if record {
+                    let (rule, parents) = &prov[i];
+                    db.record_prov(id, *rule, parents);
+                }
+                inserted += 1;
+            }
+        }
+        profile.merge_dedup_hits += dedup_hits;
+        if span.is_active() {
+            telemetry::record("inserted", inserted as i64);
+            telemetry::record("dedup_hits", dedup_hits as i64);
         }
         Ok(inserted)
     }
@@ -1394,7 +1712,47 @@ impl Engine {
     // Rule evaluation
     // -----------------------------------------------------------------
 
-    /// Evaluate one rule over `db`, appending emitted head tuples to `out`.
+    /// Resolve the compiled join order `steps` and the heads of rule `ri`
+    /// against the frozen pool: constant key columns become class ids, head
+    /// constants exact ids. Runs once per rule evaluation.
+    fn plan<'r>(&self, view: &View, ri: usize, steps: &'r [AtomStep]) -> Plan<'r> {
+        let keys = steps
+            .iter()
+            .map(|step| {
+                step.key
+                    .iter()
+                    .map(|k| match k {
+                        KeyTerm::Const(v) => view.pool.lookup(v),
+                        KeyTerm::Slot(_) => Some(0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let rule = &self.program.rules[ri];
+        let heads = rule
+            .head
+            .iter()
+            .zip(&self.meta[ri].head_preds)
+            .map(|(h, &pred)| {
+                let terms = h
+                    .terms
+                    .iter()
+                    .map(|t| match t {
+                        Term::Const(v) => view
+                            .pool
+                            .find_exact(v)
+                            .map_or_else(|| HeadTerm::Value(v.clone()), HeadTerm::Id),
+                        Term::Var(v) => HeadTerm::Slot(v.0 as usize),
+                    })
+                    .collect();
+                (((pred as u64) << 32) | h.terms.len() as u64, terms)
+            })
+            .collect();
+        Plan { steps, keys, heads }
+    }
+
+    /// Evaluate one rule over the frozen `view`, appending emitted head
+    /// tuples to `out`.
     ///
     /// When the configured thread count allows it and the outermost join
     /// atom's scan range is large enough, dispatches to
@@ -1403,52 +1761,58 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn eval_rule(
         &self,
-        db: &FactDb,
+        view: &View,
         ri: usize,
         rule: &Rule,
         delta: Option<(usize, Range<usize>)>,
         null_gen: &OidGen,
         nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
         mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
-        out: &mut Vec<(String, Vec<Value>)>,
-        prov_out: &mut ProvOut,
+        out: &mut Heads,
         profile: &mut ChaseProfile,
         interrupt: &InterruptState,
     ) -> Result<()> {
+        let meta = &self.meta[ri];
         // A full pass is equivalent to a delta pass over atom 0's complete
         // range: `join_order` always picks atom 0 first when nothing is
         // bound, and the delta only restricts the outermost scan. That
         // equivalence is what lets one sharding scheme cover both cases.
         let (shard_atom, shard_range) = match &delta {
             Some((ai, r)) => (*ai, r.clone()),
-            None => (
-                0,
-                0..rule
-                    .body
-                    .first()
-                    .map(|a| db.rows_of(&a.predicate))
-                    .unwrap_or(0),
-            ),
+            None => (0, 0..meta.body_preds.first().map_or(0, |&p| view.rows(p))),
         };
         if self.config.threads > 1
             && !rule.body.is_empty()
             && shard_range.len() >= self.config.min_parallel_batch.max(1)
         {
             return self.eval_rule_sharded(
-                db, ri, rule, shard_atom, shard_range, delta.is_some(), null_gen, nulls, mono,
-                out, prov_out, profile, interrupt,
+                view,
+                ri,
+                rule,
+                shard_atom,
+                shard_range,
+                delta.is_some(),
+                null_gen,
+                nulls,
+                mono,
+                out,
+                profile,
+                interrupt,
             );
         }
         let t_rule = Instant::now();
-        let emitted_before = out.len();
+        let emitted_before = out.len;
         let mut bindings = 0usize;
-        let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
+        let mut binding: Vec<u64> = vec![UNBOUND; rule.var_names.len()];
         let mut trail: Vec<FactId> = Vec::new();
-        let order = join_order(rule, delta.as_ref().map(|(ai, _)| *ai));
+        let steps = match &delta {
+            Some((ai, _)) => &meta.delta[*ai],
+            None => &meta.full,
+        };
+        let plan = self.plan(view, ri, steps);
         let result = self.join(
-            db,
-            rule,
-            &order,
+            view,
+            &plan,
             0,
             &delta,
             &mut binding,
@@ -1457,7 +1821,7 @@ impl Engine {
             &mut |binding, trail| {
                 bindings += 1;
                 self.fire(
-                    db, ri, rule, binding, trail, &order, null_gen, nulls, mono, out, prov_out,
+                    view, &plan, ri, rule, binding, trail, null_gen, nulls, mono, out,
                 )
             },
         );
@@ -1467,7 +1831,7 @@ impl Engine {
             prof.delta_evaluations += 1;
         }
         prof.bindings_enumerated += bindings;
-        prof.facts_emitted += out.len() - emitted_before;
+        prof.facts_emitted += out.len - emitted_before;
         prof.elapsed_ms += t_rule.elapsed().as_secs_f64() * 1e3;
         result
     }
@@ -1490,7 +1854,7 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn eval_rule_sharded(
         &self,
-        db: &FactDb,
+        view: &View,
         ri: usize,
         rule: &Rule,
         shard_atom: usize,
@@ -1499,39 +1863,39 @@ impl Engine {
         null_gen: &OidGen,
         nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
         mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
-        out: &mut Vec<(String, Vec<Value>)>,
-        prov_out: &mut ProvOut,
+        out: &mut Heads,
         profile: &mut ChaseProfile,
         interrupt: &InterruptState,
     ) -> Result<()> {
         struct ShardOut {
+            /// Head tuples emitted by this worker (fully pure rules only),
+            /// in enumeration order; its pending table also holds the
+            /// values the survivors' pure-prefix assignments bound.
+            heads: Heads,
             /// Bindings that completed the join and survived the pure step
-            /// prefix, in enumeration order (pure-prefix assigns applied).
+            /// prefix, in enumeration order, one `n_vars` stride each.
             /// Empty for fully pure rules, whose workers emit heads directly.
-            survivors: Vec<Vec<Option<Value>>>,
+            survivors: Vec<u64>,
+            /// Number of bindings in `survivors`.
+            n_survivors: usize,
             /// Provenance: body-atom-order parent fact ids per survivor,
             /// aligned with `survivors`. Empty when provenance is off.
             trails: Vec<Box<[FactId]>>,
-            /// Head tuples emitted by this worker (fully pure rules only),
-            /// in enumeration order.
-            heads: Vec<(String, Vec<Value>)>,
-            /// Provenance sidecar aligned with `heads` (fully pure rules
-            /// with provenance on only).
-            head_prov: ProvOut,
             /// Matches that survived the pure step prefix.
             survived: usize,
             /// Complete body matches enumerated (pre-filter).
             enumerated: usize,
         }
         let t_rule = Instant::now();
-        let emitted_before = out.len();
+        let emitted_before = out.len;
         let pure_end = self.meta[ri].pure_steps;
+        let n_vars = rule.var_names.len();
         // A rule whose every step is pure and whose head mints no labelled
         // nulls has nothing left for the writer to replay: workers emit the
         // head tuples themselves, and the merge is a shard-order
         // concatenation (identical to the sequential emission order).
         let fully_pure = pure_end == rule.steps.len() && self.meta[ri].existentials.is_empty();
-        let order = join_order(rule, Some(shard_atom));
+        let plan = self.plan(view, ri, &self.meta[ri].delta[shard_atom]);
         let shards = kgm_runtime::par::split_range(shard_range, self.config.threads);
         let span = kgm_runtime::span_debug!(
             "chase.shard_eval",
@@ -1549,15 +1913,15 @@ impl Engine {
                         panic!("injected fault at chase.shard");
                     }
                     let mut so = ShardOut {
+                        heads: Heads::default(),
                         survivors: Vec::new(),
+                        n_survivors: 0,
                         trails: Vec::new(),
-                        heads: Vec::new(),
-                        head_prov: Vec::new(),
                         survived: 0,
                         enumerated: 0,
                     };
                     let prov = self.config.provenance;
-                    let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
+                    let mut binding: Vec<u64> = vec![UNBOUND; n_vars];
                     let mut trail: Vec<FactId> = Vec::new();
                     // The pure prefix stops before any Aggregate step, so this
                     // map is never consulted; it only satisfies `run_steps`.
@@ -1569,9 +1933,8 @@ impl Engine {
                         FxHashMap::default();
                     let delta = Some((shard_atom, r.clone()));
                     self.join(
-                        db,
-                        rule,
-                        &order,
+                        view,
+                        &plan,
                         0,
                         &delta,
                         &mut binding,
@@ -1579,23 +1942,16 @@ impl Engine {
                         interrupt,
                         &mut |binding, trail| {
                             so.enumerated += 1;
-                            // Reorder the join-order trail to body-atom
-                            // order: parent ids must not depend on which
-                            // atom carried the delta.
-                            let mut parents: Vec<FactId> = Vec::new();
-                            if prov {
-                                parents = vec![0; trail.len()];
-                                for (pos, &idx) in order.iter().enumerate() {
-                                    parents[idx] = trail[pos];
-                                }
-                            }
+                            let mut parents = self.body_order_parents(&plan, trail);
+                            let mark = so.heads.pending.len();
                             let mut assigned: Vec<Var> = Vec::new();
                             let keep = self.run_steps(
-                                db,
+                                view,
                                 ri,
                                 rule,
                                 0..pure_end,
                                 binding,
+                                &mut so.heads.pending,
                                 &mut assigned,
                                 &mut no_mono,
                                 &mut parents,
@@ -1603,9 +1959,7 @@ impl Engine {
                             let keep = match keep {
                                 Ok(k) => k,
                                 Err(e) => {
-                                    for v in &assigned {
-                                        binding[v.0 as usize] = None;
-                                    }
+                                    unbind(binding, &assigned);
                                     return Err(e);
                                 }
                             };
@@ -1613,19 +1967,27 @@ impl Engine {
                                 so.survived += 1;
                                 if fully_pure {
                                     self.emit_heads(
-                                        ri, rule, binding, null_gen, &mut no_nulls,
-                                        &mut so.heads, &parents, &mut so.head_prov,
+                                        view.pool,
+                                        &plan,
+                                        ri,
+                                        binding,
+                                        null_gen,
+                                        &mut no_nulls,
+                                        &mut so.heads,
+                                        &parents,
+                                        SHARDED,
                                     )?;
                                 } else {
-                                    so.survivors.push(binding.clone());
+                                    so.survivors.extend_from_slice(binding);
+                                    so.n_survivors += 1;
                                     if prov {
                                         so.trails.push(parents.into_boxed_slice());
                                     }
                                 }
+                            } else {
+                                so.heads.pending.truncate(mark);
                             }
-                            for v in assigned {
-                                binding[v.0 as usize] = None;
-                            }
+                            unbind(binding, &assigned);
                             Ok(())
                         },
                     )?;
@@ -1641,48 +2003,48 @@ impl Engine {
         let shards_spawned = results.len();
         let mut enumerated = 0usize;
         let mut candidates = 0usize;
+        let mut binding: Vec<u64> = vec![UNBOUND; n_vars];
         for res in results {
             let so = res?;
             enumerated += so.enumerated;
             candidates += so.survived;
             // Fully pure rules: shard-order concatenation of worker-emitted
             // heads *is* the sequential emission order.
-            out.extend(so.heads);
-            prov_out.extend(so.head_prov);
+            let offset = out.append(so.heads);
             let mut trails = so.trails.into_iter();
-            for mut binding in so.survivors {
-                // Owned binding: no undo needed between survivors.
+            for k in 0..so.n_survivors {
+                // A fresh copy per survivor: no undo needed between them.
+                binding.copy_from_slice(&so.survivors[k * n_vars..(k + 1) * n_vars]);
+                rebase(&mut binding, offset);
                 let mut parents: Vec<FactId> =
                     trails.next().map(|t| t.into_vec()).unwrap_or_default();
+                let mark = out.pending.len();
                 let mut assigned: Vec<Var> = Vec::new();
                 let keep = self.run_steps(
-                    db,
+                    view,
                     ri,
                     rule,
                     pure_end..rule.steps.len(),
                     &mut binding,
+                    &mut out.pending,
                     &mut assigned,
                     mono,
                     &mut parents,
                 )?;
                 if keep {
                     self.emit_heads(
-                        ri, rule, &binding, null_gen, nulls, out, &parents, prov_out,
+                        view.pool, &plan, ri, &binding, null_gen, nulls, out, &parents, SHARDED,
                     )?;
+                } else {
+                    out.pending.truncate(mark);
                 }
             }
         }
-        let dedup_hits = out[emitted_before..]
-            .iter()
-            .filter(|(pred, tuple)| db.contains(pred, tuple))
-            .count();
         profile.shards_spawned += shards_spawned;
         profile.worker_candidates += candidates;
-        profile.merge_dedup_hits += dedup_hits;
         if span.is_active() {
             telemetry::record("shards", shards_spawned as i64);
             telemetry::record("candidates", candidates as i64);
-            telemetry::record("dedup_hits", dedup_hits as i64);
         }
         telemetry::counter_add("chase.shards_spawned", shards_spawned as i64);
         let prof = &mut profile.rules[ri];
@@ -1691,133 +2053,126 @@ impl Engine {
             prof.delta_evaluations += 1;
         }
         prof.bindings_enumerated += enumerated;
-        prof.facts_emitted += out.len() - emitted_before;
+        prof.facts_emitted += out.len - emitted_before;
         prof.elapsed_ms += t_rule.elapsed().as_secs_f64() * 1e3;
         Ok(())
     }
 
-    /// Join body atoms in `order[pos..]`, invoking `on_match` on full
-    /// matches. Starting the order at the delta atom is what makes the
+    /// Join the body atoms of `plan.steps[pos..]`, invoking `on_match` on
+    /// full matches. Starting the order at the delta atom is what makes the
     /// semi-naive evaluation actually incremental: all other atoms then
     /// join through bound variables instead of rescanning their relations.
     ///
-    /// With provenance on, `trail` carries the [`FactId`] of each matched
-    /// atom along the descent (join order — one id per `order[..pos]`
-    /// entry), handed to `on_match` alongside the binding; it stays empty
-    /// otherwise.
+    /// The binding holds exact ids; index keys and the repeated-variable
+    /// check compare class ids. With provenance on, `trail` carries the
+    /// [`FactId`] of each matched atom along the descent (join order — one
+    /// id per `plan.steps[..pos]` entry), handed to `on_match` alongside the
+    /// binding; it stays empty otherwise.
     #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
-        db: &FactDb,
-        rule: &Rule,
-        order: &[usize],
+        view: &View,
+        plan: &Plan,
         pos: usize,
         delta: &Option<(usize, Range<usize>)>,
-        binding: &mut Vec<Option<Value>>,
+        binding: &mut [u64],
         trail: &mut Vec<FactId>,
         interrupt: &InterruptState,
-        on_match: &mut dyn FnMut(&mut Vec<Option<Value>>, &[FactId]) -> Result<()>,
+        on_match: &mut OnMatch,
     ) -> Result<()> {
         if interrupt.interrupted() {
             // Unwind out of the binding loops with the sentinel; `run`
             // translates it into a graceful stop (or a proper strict error).
             return Err(interrupt_sentinel());
         }
-        if pos == order.len() {
+        let Some(step) = plan.steps.get(pos) else {
             return on_match(binding, trail);
-        }
-        let idx = order[pos];
-        let atom = &rule.body[idx];
-        let Some(rel) = db.rel(&atom.predicate) else {
+        };
+        let Some(rel) = view.rels[step.pred] else {
             return Ok(());
         };
-        if rel.arity != atom.terms.len() {
+        if rel.arity != step.arity {
             return Err(KgmError::Schema(format!(
                 "atom `{}` has arity {}, relation has {}",
-                atom.predicate,
-                atom.terms.len(),
-                rel.arity
+                self.preds[step.pred], step.arity, rel.arity
             )));
         }
-        // Bound positions form the packed index key. A value the pool never
-        // interned cannot appear in any stored tuple, so a lookup miss ends
-        // this branch of the join immediately.
-        let pool = db.pool();
-        let mut positions: Vec<usize> = Vec::new();
-        let mut key: Vec<u64> = Vec::new();
-        for (i, t) in atom.terms.iter().enumerate() {
-            let bound = match t {
-                Term::Const(v) => Some(v),
-                Term::Var(v) => binding[v.0 as usize].as_ref(),
+        // A constant the pool never interned cannot appear in any stored
+        // tuple, so this atom has no match.
+        let Some(template) = &plan.keys[pos] else {
+            return Ok(());
+        };
+        let classes = view.classes;
+        let mut small = [0u64; 8];
+        let mut large: Vec<u64>;
+        let key: &mut [u64] = if template.len() <= small.len() {
+            &mut small[..template.len()]
+        } else {
+            large = vec![0; template.len()];
+            &mut large
+        };
+        for ((k, &t), term) in key.iter_mut().zip(template).zip(&step.key) {
+            *k = match term {
+                KeyTerm::Const(_) => t,
+                KeyTerm::Slot(s) => classes[binding[*s] as usize],
             };
-            if let Some(val) = bound {
-                match pool.lookup(val) {
-                    Some(id) => {
-                        positions.push(i);
-                        key.push(id);
-                    }
-                    None => return Ok(()),
-                }
-            }
         }
         let range = match delta {
-            Some((ai, r)) if *ai == idx => r.clone(),
+            Some((ai, r)) if *ai == step.atom => r.clone(),
             _ => 0..rel.rows(),
         };
-        let candidates = rel.lookup(&positions, &key, &range, pool.classes());
-        for ci in candidates {
-            let row = ci as usize;
-            // Extend the binding with unbound variables. Positions in the
-            // key are already filtered by `lookup`; only variables repeated
-            // *within* this atom (bound a few positions ago) still need an
-            // equality check, on `Value`s so cross-numeric equality applies.
-            let mut assigned: Vec<Var> = Vec::new();
-            let mut ok = true;
-            let mut kpos = 0usize;
-            for (i, t) in atom.terms.iter().enumerate() {
-                let keyed = kpos < positions.len() && positions[kpos] == i;
-                if keyed {
-                    kpos += 1;
-                }
-                if let Term::Var(v) = t {
-                    match &binding[v.0 as usize] {
-                        Some(val) => {
-                            if !keyed && *val != *pool.get(rel.id_at(row, i)) {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        None => {
-                            binding[v.0 as usize] =
-                                Some(pool.get(rel.id_at(row, i)).clone());
-                            assigned.push(*v);
-                        }
-                    }
-                }
+        for row in rel.lookup(&step.positions, key, &range, classes) {
+            let r = row as usize;
+            for &(col, slot) in &step.binds {
+                binding[slot] = rel.id_at(r, col);
             }
-            if ok {
+            let repeats_agree = step.checks.iter().all(|&(col, slot)| {
+                classes[binding[slot] as usize] == classes[rel.id_at(r, col) as usize]
+            });
+            if repeats_agree {
                 if self.config.provenance {
-                    trail.push(fact_id(rel.pred_id, ci));
+                    trail.push(fact_id(rel.pred_id, row));
                 }
                 self.join(
-                    db, rule, order, pos + 1, delta, binding, trail, interrupt, on_match,
+                    view,
+                    plan,
+                    pos + 1,
+                    delta,
+                    binding,
+                    trail,
+                    interrupt,
+                    on_match,
                 )?;
                 if self.config.provenance {
                     trail.pop();
                 }
             }
-            for v in assigned {
-                binding[v.0 as usize] = None;
-            }
+        }
+        for &(_, slot) in &step.binds {
+            binding[slot] = UNBOUND;
         }
         Ok(())
     }
 
+    /// Reorder a join-order `trail` to body-atom order: parent ids must not
+    /// depend on which atom carried the delta. Empty when provenance is off.
+    fn body_order_parents(&self, plan: &Plan, trail: &[FactId]) -> Vec<FactId> {
+        let mut parents: Vec<FactId> = Vec::new();
+        if self.config.provenance {
+            parents = vec![0; trail.len()];
+            for (step, &id) in plan.steps.iter().zip(trail) {
+                parents[step.atom] = id;
+            }
+        }
+        parents
+    }
+
     /// Run the rule steps in `range` against `binding`, pushing every
     /// variable it binds onto `assigned` (the caller undoes them when the
-    /// binding is reused across matches). Returns `Ok(false)` when a
-    /// condition, negation, or idempotent aggregate update filtered the
-    /// match out.
+    /// binding is reused across matches). Values the steps compute go to
+    /// `pending`, which `binding`'s tagged ids index. Returns `Ok(false)`
+    /// when a condition, negation, or idempotent aggregate update filtered
+    /// the match out.
     ///
     /// `edge_parents` is the provenance in/out slot: callers initialize it
     /// with the match's own body-atom parent ids; a monotonic-aggregate
@@ -1827,11 +2182,12 @@ impl Engine {
     #[allow(clippy::too_many_arguments, clippy::ptr_arg)]
     fn run_steps(
         &self,
-        db: &FactDb,
+        view: &View,
         ri: usize,
         rule: &Rule,
         range: Range<usize>,
-        binding: &mut Vec<Option<Value>>,
+        binding: &mut [u64],
+        pending: &mut Vec<Value>,
         assigned: &mut Vec<Var>,
         mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
         edge_parents: &mut Vec<FactId>,
@@ -1839,196 +2195,228 @@ impl Engine {
         let ctx = EvalCtx {
             skolems: &self.skolems,
         };
-        {
-            for step in &rule.steps[range] {
-                match step {
-                    RuleStep::Condition(e) => {
-                        match eval(e, binding, &ctx)? {
-                            Value::Bool(true) => {}
-                            Value::Bool(false) => return Ok(false),
-                            other => {
-                                return Err(KgmError::Type(format!(
-                                    "condition evaluated to non-bool {other:?}"
-                                )))
-                            }
+        let first = range.start;
+        for (si, step) in rule.steps[range].iter().enumerate() {
+            let vars = IdVars {
+                binding,
+                pool: view.pool,
+                pending,
+            };
+            let bound = match step {
+                RuleStep::Condition(e) => {
+                    match eval_in(e, &vars, &ctx)? {
+                        Value::Bool(true) => continue,
+                        Value::Bool(false) => return Ok(false),
+                        other => {
+                            return Err(KgmError::Type(format!(
+                                "condition evaluated to non-bool {other:?}"
+                            )))
                         }
                     }
-                    RuleStep::Assign(v, e) => {
-                        let val = eval(e, binding, &ctx)?;
-                        binding[v.0 as usize] = Some(val);
-                        assigned.push(*v);
+                },
+                RuleStep::Assign(v, e) => (*v, eval_in(e, &vars, &ctx)?),
+                RuleStep::Negated(a) => {
+                    if self.stored(view, self.meta[ri].step_preds[first + si], &a.terms, &vars) {
+                        return Ok(false);
                     }
-                    RuleStep::Negated(a) => {
-                        let tuple: Vec<Value> = a
-                            .terms
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(v) => v.clone(),
-                                Term::Var(v) => binding[v.0 as usize]
-                                    .clone()
-                                    .expect("safety-checked bound"),
-                            })
-                            .collect();
-                        if db.contains(&a.predicate, &tuple) {
-                            return Ok(false);
-                        }
-                    }
-                    RuleStep::Aggregate(agg) => {
-                        // Only monotonic aggregates reach the fixpoint path.
-                        let func = match self.meta[ri].agg_mode {
-                            Some(AggMode::Monotonic(f)) => f,
-                            _ => {
-                                return Err(KgmError::Internal(
-                                    "exact aggregate in fixpoint path".to_string(),
-                                ))
-                            }
-                        };
-                        let group: Vec<Value> = self.meta[ri]
-                            .group_vars
-                            .iter()
-                            .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                            .collect();
-                        let contrib_key: Vec<Value> = agg
-                            .contributors
-                            .iter()
-                            .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                            .collect();
-                        let val = match &agg.arg {
-                            Some(e) => eval(e, binding, &ctx)?,
-                            None => Value::Int(1),
-                        };
-                        let state = mono.entry((ri, group)).or_insert_with(|| MonoState {
-                            contributors: FxHashMap::default(),
-                            current: initial_value(func),
-                            parents: Vec::new(),
-                        });
-                        if state.contributors.contains_key(&contrib_key) {
-                            // Idempotent re-contribution: nothing new.
-                            return Ok(false);
-                        }
-                        let updated = combine(func, &state.current, &val)?;
-                        let changed = updated != state.current;
-                        state.contributors.insert(contrib_key, val);
-                        state.current = updated.clone();
-                        if self.config.provenance {
-                            // Every new contributor joins the group's parent
-                            // set, whether or not the accumulator moved.
-                            state.parents.extend_from_slice(edge_parents);
-                        }
-                        if !changed {
-                            // The aggregate did not move; nothing new to emit.
-                            return Ok(false);
-                        }
-                        if self.config.provenance {
-                            // A firing's value is a fold over the whole
-                            // group: its edge carries the full snapshot.
-                            edge_parents.clear();
-                            edge_parents.extend_from_slice(&state.parents);
-                        }
-                        binding[agg.target.0 as usize] = Some(updated);
-                        assigned.push(agg.target);
-                    }
+                    continue;
                 }
-            }
+                RuleStep::Aggregate(agg) => {
+                    // Only monotonic aggregates reach the fixpoint path.
+                    let func = match self.meta[ri].agg_mode {
+                        Some(AggMode::Monotonic(f)) => f,
+                        _ => {
+                            return Err(KgmError::Internal(
+                                "exact aggregate in fixpoint path".to_string(),
+                            ))
+                        }
+                    };
+                    let group: Vec<Value> = self.meta[ri]
+                        .group_vars
+                        .iter()
+                        .map(|&v| vars.bound(v))
+                        .collect();
+                    let contrib_key: Vec<Value> =
+                        agg.contributors.iter().map(|&v| vars.bound(v)).collect();
+                    let val = match &agg.arg {
+                        Some(e) => eval_in(e, &vars, &ctx)?,
+                        None => Value::Int(1),
+                    };
+                    let state = mono.entry((ri, group)).or_insert_with(|| MonoState {
+                        contributors: FxHashMap::default(),
+                        current: initial_value(func),
+                        parents: Vec::new(),
+                    });
+                    if state.contributors.contains_key(&contrib_key) {
+                        // Idempotent re-contribution: nothing new.
+                        return Ok(false);
+                    }
+                    let updated = combine(func, &state.current, &val)?;
+                    let changed = updated != state.current;
+                    state.contributors.insert(contrib_key, val);
+                    state.current = updated.clone();
+                    if self.config.provenance {
+                        // Every new contributor joins the group's parent
+                        // set, whether or not the accumulator moved.
+                        state.parents.extend_from_slice(edge_parents);
+                    }
+                    if !changed {
+                        // The aggregate did not move; nothing new to emit.
+                        return Ok(false);
+                    }
+                    if self.config.provenance {
+                        // A firing's value is a fold over the whole
+                        // group: its edge carries the full snapshot.
+                        edge_parents.clear();
+                        edge_parents.extend_from_slice(&state.parents);
+                    }
+                    (agg.target, updated)
+                }
+            };
+            let (v, val) = bound;
+            pending.push(val);
+            binding[v.0 as usize] = PENDING | (pending.len() - 1) as u64;
+            assigned.push(v);
         }
         Ok(true)
     }
 
+    /// Negation probe: is the atom `pred(terms)` under `vars` stored? Probes
+    /// class ids; a value no stored value equals settles it as absent.
+    fn stored(&self, view: &View, pred: usize, terms: &[Term], vars: &IdVars) -> bool {
+        let Some(rel) = view.rels[pred] else {
+            return false;
+        };
+        if rel.arity != terms.len() {
+            return false;
+        }
+        let mut key: Vec<u64> = Vec::with_capacity(terms.len());
+        for t in terms {
+            let class = match t {
+                Term::Const(v) => view.pool.lookup(v),
+                Term::Var(v) => {
+                    let id = vars.binding[v.0 as usize];
+                    assert!(id != UNBOUND, "safety-checked bound");
+                    vars.class(id)
+                }
+            };
+            match class {
+                Some(c) => key.push(c),
+                None => return false,
+            }
+        }
+        rel.find_key(&key, view.classes).is_some()
+    }
+
     /// Process steps and emit heads for one complete body match. `trail`
-    /// holds the matched facts' ids in join order (`order` maps them back
-    /// to body-atom positions); empty when provenance is off.
-    #[allow(clippy::too_many_arguments, clippy::ptr_arg)]
+    /// holds the matched facts' ids in join order; empty when provenance is
+    /// off.
+    #[allow(clippy::too_many_arguments)]
     fn fire(
         &self,
-        db: &FactDb,
+        view: &View,
+        plan: &Plan,
         ri: usize,
         rule: &Rule,
-        binding: &mut Vec<Option<Value>>,
+        binding: &mut [u64],
         trail: &[FactId],
-        order: &[usize],
         null_gen: &OidGen,
         nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
         mono: &mut FxHashMap<(usize, Vec<Value>), MonoState>,
-        out: &mut Vec<(String, Vec<Value>)>,
-        prov_out: &mut ProvOut,
+        out: &mut Heads,
     ) -> Result<()> {
-        let mut parents: Vec<FactId> = Vec::new();
-        if self.config.provenance {
-            parents = vec![0; trail.len()];
-            for (pos, &idx) in order.iter().enumerate() {
-                parents[idx] = trail[pos];
-            }
-        }
+        let mut parents = self.body_order_parents(plan, trail);
         // Variables assigned by steps must be undone before returning so
-        // sibling matches start clean.
+        // sibling matches start clean; so must the values they parked.
+        let mark = out.pending.len();
         let mut assigned: Vec<Var> = Vec::new();
         let result = self.run_steps(
-            db, ri, rule, 0..rule.steps.len(), binding, &mut assigned, mono, &mut parents,
+            view,
+            ri,
+            rule,
+            0..rule.steps.len(),
+            binding,
+            &mut out.pending,
+            &mut assigned,
+            mono,
+            &mut parents,
         );
         let emit = match result {
             Ok(b) => b,
             Err(e) => {
-                for v in &assigned {
-                    binding[v.0 as usize] = None;
-                }
+                unbind(binding, &assigned);
                 return Err(e);
             }
         };
         if emit {
-            self.emit_heads(ri, rule, binding, null_gen, nulls, out, &parents, prov_out)?;
+            self.emit_heads(
+                view.pool, plan, ri, binding, null_gen, nulls, out, &parents, 0,
+            )?;
+        } else {
+            out.pending.truncate(mark);
         }
-        for v in assigned {
-            binding[v.0 as usize] = None;
-        }
+        unbind(binding, &assigned);
         Ok(())
     }
 
-    /// Emit the rule's head tuples for one surviving binding. With
-    /// provenance on, each emitted tuple gets a matching `(rule, parents)`
-    /// entry in `prov_out` (all heads of one firing share the parents).
+    /// Emit the rule's head tuples for one surviving binding into `out`,
+    /// whose pending table `binding`'s tagged ids index. With provenance
+    /// on, each emitted tuple gets a matching `(rule, parents)` entry (all
+    /// heads of one firing share the parents). `flags` go into each record
+    /// header.
     #[allow(clippy::too_many_arguments)]
     fn emit_heads(
         &self,
+        pool: &ValuePool,
+        plan: &Plan,
         ri: usize,
-        rule: &Rule,
-        binding: &[Option<Value>],
+        binding: &[u64],
         null_gen: &OidGen,
         nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
-        out: &mut Vec<(String, Vec<Value>)>,
+        out: &mut Heads,
         parents: &[FactId],
-        prov_out: &mut ProvOut,
+        flags: u64,
     ) -> Result<()> {
         // Mint (or reuse) labelled nulls for the rule's existentials, keyed
         // by the frontier values (Skolem chase).
         let meta = &self.meta[ri];
-        let mut null_values: FxHashMap<Var, Value> = FxHashMap::default();
+        let mut null_ids: Vec<(usize, u64)> = Vec::new();
         if !meta.existentials.is_empty() {
-            let frontier: Vec<Value> = meta
-                .frontier
-                .iter()
-                .map(|v| binding[v.0 as usize].clone().expect("frontier bound"))
-                .collect();
+            let vars = IdVars {
+                binding,
+                pool,
+                pending: &out.pending,
+            };
+            let frontier: Vec<Value> = meta.frontier.iter().map(|&v| vars.bound(v)).collect();
             for &v in &meta.existentials {
                 let oid = *nulls
                     .entry((ri, v, frontier.clone()))
                     .or_insert_with(|| null_gen.fresh());
-                null_values.insert(v, Value::Oid(oid));
+                null_ids.push((v.0 as usize, out.push_value(Value::Oid(oid))));
             }
         }
-        for h in &rule.head {
-            let tuple: Vec<Value> = h
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(v) => v.clone(),
-                    Term::Var(v) => binding[v.0 as usize]
-                        .clone()
-                        .unwrap_or_else(|| null_values[v].clone()),
-                })
-                .collect();
-            out.push((h.predicate.clone(), tuple));
+        for (header, terms) in &plan.heads {
+            out.ids.push(header | flags);
+            for t in terms {
+                let id = match t {
+                    HeadTerm::Id(id) => *id,
+                    HeadTerm::Value(v) => out.push_value(v.clone()),
+                    HeadTerm::Slot(s) => match binding[*s] {
+                        UNBOUND => {
+                            null_ids
+                                .iter()
+                                .find(|(slot, _)| slot == s)
+                                .expect("an unbound head variable is existential")
+                                .1
+                        }
+                        id => id,
+                    },
+                };
+                out.ids.push(id);
+            }
+            out.len += 1;
             if self.config.provenance {
-                prov_out.push((ri as u32, parents.into()));
+                out.prov.push((ri as u32, parents.into()));
             }
         }
         Ok(())
@@ -2037,18 +2425,17 @@ impl Engine {
     /// Evaluate one exact-aggregate rule: body relations are complete, so a
     /// single pass collects contributions, grouping produces the final
     /// values, and post-aggregate steps run once per group. Returns the
-    /// emitted head tuples together with their provenance sidecar (each
-    /// group's heads carry the parents of all its contributing matches;
-    /// empty sidecar when provenance is off).
+    /// emitted head tuples (each group's heads carry the parents of all its
+    /// contributing matches; empty sidecar when provenance is off).
     fn eval_exact_agg_rule(
         &self,
-        db: &FactDb,
+        view: &View,
         ri: usize,
         rule: &Rule,
         null_gen: &OidGen,
         nulls: &mut FxHashMap<(usize, Var, Vec<Value>), Oid>,
         interrupt: &InterruptState,
-    ) -> Result<(Vec<(String, Vec<Value>)>, ProvOut)> {
+    ) -> Result<Heads> {
         let meta = &self.meta[ri];
         let agg_step = meta.agg_step.expect("exact agg rule");
         let agg = rule.aggregate().expect("exact agg rule").clone();
@@ -2068,70 +2455,40 @@ impl Engine {
         }
         let prov = self.config.provenance;
         let mut groups: FxHashMap<Vec<Value>, Group> = FxHashMap::default();
-        let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
+        let n_vars = rule.var_names.len();
+        let mut binding: Vec<u64> = vec![UNBOUND; n_vars];
         let mut trail: Vec<FactId> = Vec::new();
-        let group_vars = meta.group_vars.clone();
-        let pre_steps = &rule.steps[..agg_step];
+        let mut out = Heads::default();
+        let mut no_mono: FxHashMap<(usize, Vec<Value>), MonoState> = FxHashMap::default();
         // Natural atom order — so the trail is already in body-atom order.
-        let order: Vec<usize> = (0..rule.body.len()).collect();
-        self.join(db, rule, &order, 0, &None, &mut binding, &mut trail, interrupt, &mut |binding, trail| {
+        let plan = self.plan(view, ri, &meta.natural);
+        self.join(view, &plan, 0, &None, &mut binding, &mut trail, interrupt, &mut |binding, trail| {
+            // An error aborts the whole evaluation, so it needs no undo.
             let mut assigned: Vec<Var> = Vec::new();
-            let mut keep = true;
-            for step in pre_steps {
-                match step {
-                    RuleStep::Condition(e) => match eval(e, binding, &ctx)? {
-                        Value::Bool(true) => {}
-                        Value::Bool(false) => {
-                            keep = false;
-                            break;
-                        }
-                        other => {
-                            return Err(KgmError::Type(format!(
-                                "condition evaluated to non-bool {other:?}"
-                            )))
-                        }
-                    },
-                    RuleStep::Assign(v, e) => {
-                        let val = eval(e, binding, &ctx)?;
-                        binding[v.0 as usize] = Some(val);
-                        assigned.push(*v);
-                    }
-                    RuleStep::Negated(a) => {
-                        let tuple: Vec<Value> = a
-                            .terms
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(v) => v.clone(),
-                                Term::Var(v) => {
-                                    binding[v.0 as usize].clone().expect("bound")
-                                }
-                            })
-                            .collect();
-                        if db.contains(&a.predicate, &tuple) {
-                            keep = false;
-                            break;
-                        }
-                    }
-                    RuleStep::Aggregate(_) => unreachable!("pre-aggregate steps only"),
-                }
-            }
+            let keep = self.run_steps(
+                view, ri, rule, 0..agg_step, binding, &mut out.pending, &mut assigned,
+                &mut no_mono, &mut Vec::new(),
+            )?;
             if keep {
-                let gk: Vec<Value> = group_vars
-                    .iter()
-                    .map(|v| binding[v.0 as usize].clone().expect("bound"))
-                    .collect();
+                let vars = IdVars {
+                    binding,
+                    pool: view.pool,
+                    pending: &out.pending,
+                };
+                let gk: Vec<Value> = meta.group_vars.iter().map(|&v| vars.bound(v)).collect();
                 // Contributor key: the ⟨z̄⟩ variables if given, otherwise the
                 // full binding of positive vars (every match contributes).
                 let ck: Vec<Value> = if agg.contributors.is_empty() {
-                    binding.iter().flatten().cloned().collect()
-                } else {
-                    agg.contributors
+                    binding
                         .iter()
-                        .map(|v| binding[v.0 as usize].clone().expect("bound"))
+                        .filter(|&&id| id != UNBOUND)
+                        .map(|&id| vars.get(id).clone())
                         .collect()
+                } else {
+                    agg.contributors.iter().map(|&v| vars.bound(v)).collect()
                 };
                 let val = match &agg.arg {
-                    Some(e) => eval(e, binding, &ctx)?,
+                    Some(e) => eval_in(e, &vars, &ctx)?,
                     None => Value::Int(1),
                 };
                 let g = groups.entry(gk).or_insert_with(|| Group {
@@ -2147,15 +2504,12 @@ impl Engine {
                     }
                 }
             }
-            for v in assigned {
-                binding[v.0 as usize] = None;
-            }
+            unbind(binding, &assigned);
+            out.pending.clear();
             Ok(())
         })?;
 
         // Pass 2: fold each group and run post-aggregate steps + heads.
-        let mut out = Vec::new();
-        let mut prov_out: ProvOut = Vec::new();
         for (gk, group) in groups {
             let mut acc = initial_value(func);
             let mut n = 0usize;
@@ -2170,57 +2524,47 @@ impl Engine {
                     &Value::Int(n as i64),
                 )?;
             }
-            let mut binding: Vec<Option<Value>> = vec![None; rule.var_names.len()];
-            for (v, val) in group_vars.iter().zip(gk.iter()) {
-                binding[v.0 as usize] = Some(val.clone());
+            let mark = out.pending.len();
+            binding.fill(UNBOUND);
+            for (v, val) in meta.group_vars.iter().zip(gk) {
+                binding[v.0 as usize] = out.push_value(val);
             }
-            binding[agg.target.0 as usize] = Some(acc);
-            let mut keep = true;
-            for step in &rule.steps[agg_step + 1..] {
-                match step {
-                    RuleStep::Condition(e) => match eval(e, &binding, &ctx)? {
-                        Value::Bool(true) => {}
-                        Value::Bool(false) => {
-                            keep = false;
-                            break;
-                        }
-                        other => {
-                            return Err(KgmError::Type(format!(
-                                "condition evaluated to non-bool {other:?}"
-                            )))
-                        }
-                    },
-                    RuleStep::Assign(v, e) => {
-                        let val = eval(e, &binding, &ctx)?;
-                        binding[v.0 as usize] = Some(val);
-                    }
-                    RuleStep::Negated(a) => {
-                        let tuple: Vec<Value> = a
-                            .terms
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(v) => v.clone(),
-                                Term::Var(v) => {
-                                    binding[v.0 as usize].clone().expect("bound")
-                                }
-                            })
-                            .collect();
-                        if db.contains(&a.predicate, &tuple) {
-                            keep = false;
-                            break;
-                        }
-                    }
-                    RuleStep::Aggregate(_) => unreachable!("single aggregate"),
-                }
-            }
+            binding[agg.target.0 as usize] = out.push_value(acc);
+            let keep = self.run_steps(
+                view,
+                ri,
+                rule,
+                agg_step + 1..rule.steps.len(),
+                &mut binding,
+                &mut out.pending,
+                &mut Vec::new(),
+                &mut no_mono,
+                &mut Vec::new(),
+            )?;
             if keep {
                 self.emit_heads(
-                    ri, rule, &binding, null_gen, nulls, &mut out, &group.parents,
-                    &mut prov_out,
+                    view.pool,
+                    &plan,
+                    ri,
+                    &binding,
+                    null_gen,
+                    nulls,
+                    &mut out,
+                    &group.parents,
+                    0,
                 )?;
+            } else {
+                out.pending.truncate(mark);
             }
         }
-        Ok((out, prov_out))
+        Ok(out)
+    }
+}
+
+/// Reset the slots of `assigned` variables to unbound.
+fn unbind(binding: &mut [u64], assigned: &[Var]) {
+    for v in assigned {
+        binding[v.0 as usize] = UNBOUND;
     }
 }
 
@@ -2267,43 +2611,61 @@ fn expr_has_skolem(e: &Expr) -> bool {
     }
 }
 
-/// Statically enumerate every `(predicate, key positions)` pair the join of
-/// `rule` can probe, across the natural order (exact aggregates), the full
-/// pass order, and every delta order. At atom `p` of an order, the index
-/// key is the constant positions plus the positions of variables bound by
-/// atoms earlier in the order — repeated variables *within* an atom do not
-/// contribute (the runtime key is built before the tuple extends the
-/// binding), matching [`Engine::join`] exactly.
-fn static_index_needs(rule: &Rule) -> Vec<(String, Vec<usize>)> {
-    let mut needs: FxHashSet<(String, Vec<usize>)> = FxHashSet::default();
-    let mut orders: Vec<Vec<usize>> = vec![(0..rule.body.len()).collect(), join_order(rule, None)];
-    for ai in 0..rule.body.len() {
-        orders.push(join_order(rule, Some(ai)));
-    }
-    for order in orders {
-        let mut bound: FxHashSet<Var> = FxHashSet::default();
-        for &idx in &order {
-            let atom = &rule.body[idx];
-            let mut positions: Vec<usize> = Vec::new();
-            for (i, t) in atom.terms.iter().enumerate() {
-                match t {
-                    Term::Const(_) => positions.push(i),
-                    Term::Var(v) => {
-                        if bound.contains(v) {
-                            positions.push(i);
-                        }
+/// Compile the body atoms of `rule`, joined in `order`, to [`AtomStep`]s.
+/// At each atom the index key is the constant positions plus the positions
+/// of variables bound by atoms earlier in the order — repeated variables
+/// *within* an atom do not contribute: the first occurrence binds, the
+/// others are checked.
+fn compile_order(rule: &Rule, order: &[usize], body_preds: &[usize]) -> Vec<AtomStep> {
+    let mut bound: FxHashSet<Var> = FxHashSet::default();
+    let mut steps = Vec::with_capacity(order.len());
+    for &idx in order {
+        let atom = &rule.body[idx];
+        let mut step = AtomStep {
+            atom: idx,
+            pred: body_preds[idx],
+            arity: atom.terms.len(),
+            positions: Vec::new(),
+            key: Vec::new(),
+            binds: Vec::new(),
+            checks: Vec::new(),
+        };
+        for (i, t) in atom.terms.iter().enumerate() {
+            match t {
+                Term::Const(v) => {
+                    step.positions.push(i);
+                    step.key.push(KeyTerm::Const(v.clone()));
+                }
+                Term::Var(v) => {
+                    let slot = v.0 as usize;
+                    if bound.contains(v) {
+                        step.positions.push(i);
+                        step.key.push(KeyTerm::Slot(slot));
+                    } else if step.binds.iter().any(|&(_, s)| s == slot) {
+                        step.checks.push((i, slot));
+                    } else {
+                        step.binds.push((i, slot));
                     }
                 }
             }
-            if !positions.is_empty() {
-                needs.insert((atom.predicate.clone(), positions));
-            }
-            bound.extend(atom.vars());
         }
+        bound.extend(atom.vars());
+        steps.push(step);
     }
-    let mut v: Vec<(String, Vec<usize>)> = needs.into_iter().collect();
-    v.sort();
-    v
+    steps
+}
+
+/// Every `(predicate, key positions)` pair the compiled join `orders` can
+/// probe, deduplicated.
+fn index_needs<'a>(orders: impl Iterator<Item = &'a Vec<AtomStep>>) -> Vec<(usize, Vec<usize>)> {
+    let mut needs: Vec<(usize, Vec<usize>)> = orders
+        .flatten()
+        .filter(|step| !step.positions.is_empty())
+        .map(|step| (step.pred, step.positions.clone()))
+        .collect();
+    needs.sort();
+    needs.dedup();
+    needs
 }
 
 fn initial_value(func: AggregateFunc) -> Value {
@@ -2628,6 +2990,24 @@ mod tests {
         assert_eq!(db.len("loops"), 2);
     }
 
+    /// The fidelity rule of the two-level pool: joins and the repeated-
+    /// variable check compare class ids, so `Int(1)` matches `Float(1.0)`,
+    /// while a derived tuple keeps the exact representation its binding
+    /// matched first.
+    #[test]
+    fn joins_compare_classes_but_derive_exact_representations() {
+        for (src, want) in [
+            ("p(1). q(1.0). p(X), q(X) -> r(X).", Value::Int(1)),
+            ("p(1). q(1.0). q(X), p(X) -> r(X).", Value::Float(1.0)),
+            ("e(1, 1.0). e(X, X) -> r(X).", Value::Int(1)),
+            ("e(1.0, 1). e(X, X) -> r(X).", Value::Float(1.0)),
+        ] {
+            let r = run(src, &[]).facts("r");
+            assert_eq!(r, vec![vec![want.clone()]], "{src}");
+            assert_eq!(r[0][0].value_type(), want.value_type(), "{src}");
+        }
+    }
+
     #[test]
     fn run_stats_are_reported() {
         let engine = Engine::new(
@@ -2759,6 +3139,36 @@ mod tests {
         let (_, seq_stats) = engine.run_with_facts(&inputs).unwrap();
         assert_eq!(seq_stats.profile.shards_spawned, 0);
         assert_eq!(seq_stats.derived_facts, stats.derived_facts);
+    }
+
+    #[test]
+    fn merge_dedup_hits_counts_sharded_emissions_already_stored() {
+        let inputs = parallel_mix_inputs();
+        // min_parallel_batch 1 sends every insert batch through the parallel
+        // verdicts; 20 leaves the small ones to the sequential apply.
+        for (min_parallel_batch, hits) in [(1, 70), (20, 58)] {
+            for threads in [2, 4, 7] {
+                let engine = Engine::with_config(
+                    parse_program(PARALLEL_MIX_SRC).unwrap(),
+                    EngineConfig {
+                        threads,
+                        min_parallel_batch,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                let (_, stats) = engine.run_with_facts(&inputs).unwrap();
+                assert_eq!(
+                    stats.profile.merge_dedup_hits, hits,
+                    "threads={threads} min_parallel_batch={min_parallel_batch}"
+                );
+            }
+        }
+        let (_, stats) = run_with_threads(PARALLEL_MIX_SRC, &inputs, 1);
+        assert_eq!(
+            stats.profile.merge_dedup_hits, 0,
+            "no sharding, nothing counted"
+        );
     }
 
     fn run_prov_with_threads(

@@ -12,11 +12,23 @@ pub struct EvalCtx<'a> {
     pub skolems: &'a SkolemRegistry,
 }
 
+/// Where [`eval_in`] reads variables from: a `Value` binding, or the
+/// chase's id binding, which decodes only the variables an expression reads.
+pub(crate) trait VarSource {
+    /// The value bound to `v`, `None` if unbound.
+    fn value(&self, v: Var) -> Option<Value>;
+}
+
+impl VarSource for [Option<Value>] {
+    fn value(&self, v: Var) -> Option<Value> {
+        self.get(v.0 as usize).and_then(Clone::clone)
+    }
+}
+
 /// Read a bound variable.
-fn var(binding: &[Option<Value>], v: Var) -> Result<Value> {
+fn var<B: VarSource + ?Sized>(binding: &B, v: Var) -> Result<Value> {
     binding
-        .get(v.0 as usize)
-        .and_then(Clone::clone)
+        .value(v)
         .ok_or_else(|| KgmError::Internal(format!("unbound variable #{}", v.0)))
 }
 
@@ -49,22 +61,31 @@ const F64_EXACT_INT: u64 = 1 << 53;
 
 /// Evaluate `expr` under `binding`.
 pub fn eval(expr: &Expr, binding: &[Option<Value>], ctx: &EvalCtx) -> Result<Value> {
+    eval_in(expr, binding, ctx)
+}
+
+/// [`eval`] over any [`VarSource`].
+pub(crate) fn eval_in<B: VarSource + ?Sized>(
+    expr: &Expr,
+    binding: &B,
+    ctx: &EvalCtx,
+) -> Result<Value> {
     match expr {
         Expr::Const(v) => Ok(v.clone()),
         Expr::Var(v) => var(binding, *v),
-        Expr::Not(e) => match eval(e, binding, ctx)? {
+        Expr::Not(e) => match eval_in(e, binding, ctx)? {
             Value::Bool(b) => Ok(Value::Bool(!b)),
             other => Err(KgmError::Type(format!("`!` expects bool, got {other:?}"))),
         },
         Expr::Bin(op, a, b) => {
-            let a = eval(a, binding, ctx)?;
-            let b = eval(b, binding, ctx)?;
+            let a = eval_in(a, binding, ctx)?;
+            let b = eval_in(b, binding, ctx)?;
             bin(*op, &a, &b)
         }
         Expr::Skolem(name, args) => {
             let values: Vec<Value> = args
                 .iter()
-                .map(|a| eval(a, binding, ctx))
+                .map(|a| eval_in(a, binding, ctx))
                 .collect::<Result<_>>()?;
             let f = ctx.skolems.functor(name);
             Ok(Value::Oid(ctx.skolems.apply(f, &values)))
@@ -72,7 +93,7 @@ pub fn eval(expr: &Expr, binding: &[Option<Value>], ctx: &EvalCtx) -> Result<Val
         Expr::Call(name, args) => {
             let values: Vec<Value> = args
                 .iter()
-                .map(|a| eval(a, binding, ctx))
+                .map(|a| eval_in(a, binding, ctx))
                 .collect::<Result<_>>()?;
             call(name, &values)
         }

@@ -211,8 +211,8 @@ impl ProvStore {
     }
 }
 
-/// Hash of a packed tuple. Row hashes are stored per row so table growth and
-/// frozen-db probes never re-touch the columns.
+/// Hash of a packed class-id tuple. Row hashes are stored per row so table
+/// growth and frozen-db probes never re-touch the columns.
 fn hash_ids(ids: &[u64]) -> u64 {
     let mut h = FxHasher::default();
     for &id in ids {
@@ -221,11 +221,34 @@ fn hash_ids(ids: &[u64]) -> u64 {
     h.finish()
 }
 
-/// One posting-list join index: packed key at `positions` → ascending rows.
+/// The row hash of a tuple given by **exact** ids: [`hash_ids`] over their
+/// class ids, without materializing the class tuple.
+pub(crate) fn class_hash(ids: &[u64], class: &[u64]) -> u64 {
+    let mut h = FxHasher::default();
+    for &id in ids {
+        h.write_u64(class[id as usize]);
+    }
+    h.finish()
+}
+
+/// One posting-list join index: class-id key at `positions` → ascending
+/// rows. A single-column key is the class id itself; a wider key is boxed
+/// once per distinct key, never per indexed row.
 struct Index {
-    map: FxHashMap<Box<[u64]>, Vec<u32>>,
+    positions: Vec<usize>,
+    one: FxHashMap<u64, Vec<u32>>,
+    many: FxHashMap<Box<[u64]>, Vec<u32>>,
     /// Rows `0..built_upto` are reflected in the postings; the tail is not.
     built_upto: usize,
+}
+
+impl Index {
+    fn postings(&self, key: &[u64]) -> Option<&Vec<u32>> {
+        match key {
+            [k] => self.one.get(k),
+            _ => self.many.get(key),
+        }
+    }
 }
 
 /// Candidate rows produced by [`Relation::lookup`]. Borrows the posting list
@@ -256,6 +279,7 @@ impl Iterator for Candidates<'_> {
 /// exact-id → class-id table ([`ValuePool::classes`]) — because the columns
 /// hold exact ids while equality is defined on classes.
 pub(crate) struct Relation {
+    name: String,
     pub(crate) arity: usize,
     /// Dense predicate id (creation order), the high half of this
     /// relation's [`FactId`]s.
@@ -266,7 +290,9 @@ pub(crate) struct Relation {
     row_hash: Vec<u64>,
     /// Open-addressing dedup table over `row_hash`; power-of-two length.
     table: Vec<u32>,
-    indexes: FxHashMap<Vec<usize>, Index>,
+    /// Join indexes, one per key position set (a relation has a handful,
+    /// so a linear scan beats hashing the position list per probe).
+    indexes: Vec<Index>,
     /// Tombstone bitmap (lazily sized): dead rows stay physically present
     /// but are invisible to probes, lookups, iteration and live counts.
     dead: Vec<u64>,
@@ -279,14 +305,15 @@ pub(crate) struct Relation {
 }
 
 impl Relation {
-    fn new(arity: usize, pred_id: u32) -> Self {
+    fn new(name: &str, arity: usize, pred_id: u32) -> Self {
         Relation {
+            name: name.to_string(),
             arity,
             pred_id,
             cols: (0..arity).map(|_| Vec::new()).collect(),
             row_hash: Vec::new(),
             table: Vec::new(),
-            indexes: FxHashMap::default(),
+            indexes: Vec::new(),
             dead: Vec::new(),
             dead_rows: 0,
             derived: Vec::new(),
@@ -344,6 +371,26 @@ impl Relation {
     /// present. A dead row matching the key does not end the probe — a live
     /// re-insert of the same tuple may sit in a later slot.
     fn find(&self, h: u64, key: &[u64], class: &[u64]) -> Option<u32> {
+        self.find_by(h, |row| self.row_eq(row, key, class))
+    }
+
+    /// [`Relation::find`] for a packed class-id key, hashing it first.
+    pub(crate) fn find_key(&self, key: &[u64], class: &[u64]) -> Option<u32> {
+        self.find(hash_ids(key), key, class)
+    }
+
+    /// [`Relation::find`] for a tuple given by **exact** ids (`h` is its
+    /// [`class_hash`]); compares classes, so no class tuple is built.
+    pub(crate) fn find_ids(&self, h: u64, ids: &[u64], class: &[u64]) -> Option<u32> {
+        self.find_by(h, |row| {
+            self.cols
+                .iter()
+                .zip(ids)
+                .all(|(c, &k)| class[c[row] as usize] == class[k as usize])
+        })
+    }
+
+    fn find_by(&self, h: u64, eq: impl Fn(usize) -> bool) -> Option<u32> {
         if self.table.is_empty() {
             return None;
         }
@@ -353,9 +400,7 @@ impl Relation {
             match self.table[slot] {
                 EMPTY => return None,
                 r => {
-                    if self.row_hash[r as usize] == h
-                        && self.row_eq(r as usize, key, class)
-                        && !self.is_dead(r as usize)
+                    if self.row_hash[r as usize] == h && eq(r as usize) && !self.is_dead(r as usize)
                     {
                         return Some(r);
                     }
@@ -365,15 +410,28 @@ impl Relation {
         }
     }
 
-    /// Keep the table under 7/8 load, rehashing from the stored row hashes.
-    /// Tombstoned rows drop out of the table here — growth is when their
-    /// probe-chain cost is reclaimed.
-    fn grow_table(&mut self) {
-        let need = (self.row_hash.len() + 1) * 8;
+    /// Make room for `additional` more rows without regrowing the columns
+    /// or rehashing the dedup table on the way.
+    fn reserve(&mut self, additional: usize) {
+        for c in &mut self.cols {
+            c.reserve(additional);
+        }
+        self.row_hash.reserve(additional);
+        self.grow_table(additional);
+    }
+
+    /// Keep the table under 7/8 load with room for `additional` more rows,
+    /// rehashing from the stored row hashes. Tombstoned rows drop out of
+    /// the table here — growth is when their probe-chain cost is reclaimed.
+    fn grow_table(&mut self, additional: usize) {
+        let need = (self.row_hash.len() + additional) * 8;
         if need <= self.table.len() * 7 {
             return;
         }
-        let new_len = (self.table.len() * 2).max(16);
+        let mut new_len = (self.table.len() * 2).max(16);
+        while need > new_len * 7 {
+            new_len *= 2;
+        }
         self.table.clear();
         self.table.resize(new_len, EMPTY);
         let mask = new_len - 1;
@@ -396,7 +454,7 @@ impl Relation {
     /// the single insert path after its dedup probe and capacity guard.
     fn append_row(&mut self, h: u64, ids: &[u64]) {
         debug_assert!(self.row_hash.len() < MAX_ROWS_PER_RELATION);
-        self.grow_table();
+        self.grow_table(1);
         let row = self.row_hash.len() as u32;
         let mask = self.table.len() - 1;
         let mut slot = (h as usize) & mask;
@@ -419,19 +477,42 @@ impl Relation {
             return;
         }
         let rows = self.rows();
-        let entry = self.indexes.entry(positions.to_vec()).or_insert_with(|| Index {
-            map: FxHashMap::default(),
-            built_upto: 0,
-        });
-        while entry.built_upto < rows {
-            let i = entry.built_upto;
-            let k: Box<[u64]> = positions
-                .iter()
-                .map(|&p| class[self.cols[p][i] as usize])
-                .collect();
-            entry.map.entry(k).or_default().push(i as u32);
-            entry.built_upto += 1;
+        let at = match self.indexes.iter().position(|ix| ix.positions == positions) {
+            Some(at) => at,
+            None => {
+                self.indexes.push(Index {
+                    positions: positions.to_vec(),
+                    one: FxHashMap::default(),
+                    many: FxHashMap::default(),
+                    built_upto: 0,
+                });
+                self.indexes.len() - 1
+            }
+        };
+        let ix = &mut self.indexes[at];
+        let cols = &self.cols;
+        if let [p] = positions {
+            let col = &cols[*p];
+            for row in ix.built_upto..rows {
+                ix.one
+                    .entry(class[col[row] as usize])
+                    .or_default()
+                    .push(row as u32);
+            }
+        } else {
+            let mut key: Vec<u64> = Vec::with_capacity(positions.len());
+            for row in ix.built_upto..rows {
+                key.clear();
+                key.extend(positions.iter().map(|&p| class[cols[p][row] as usize]));
+                match ix.many.get_mut(key.as_slice()) {
+                    Some(postings) => postings.push(row as u32),
+                    None => {
+                        ix.many.insert(key.as_slice().into(), vec![row as u32]);
+                    }
+                }
+            }
         }
+        ix.built_upto = rows;
     }
 
     /// Rows matching the packed **class-id** `key` at `positions`, restricted
@@ -470,10 +551,10 @@ impl Relation {
         if positions.is_empty() {
             return Candidates::Range(range.start as u32..hi as u32);
         }
-        let (hits, indexed_upto) = match self.indexes.get(positions) {
+        let (hits, indexed_upto) = match self.indexes.iter().find(|ix| ix.positions == positions) {
             Some(idx) => {
                 let covered = hi.min(idx.built_upto);
-                let hits = idx.map.get(key).map(|v| {
+                let hits = idx.postings(key).map(|v| {
                     let lo = v.partition_point(|&i| (i as usize) < range.start);
                     let up = v.partition_point(|&i| (i as usize) < covered);
                     &v[lo..up]
@@ -509,10 +590,11 @@ impl Relation {
         let indexes: usize = self
             .indexes
             .iter()
-            .map(|(pos, idx)| {
-                let key_bytes = pos.len() * 8 + 16; // boxed key + fat pointer
-                let per_entry = key_bytes + 24 + 8; // + Vec header + map slot
-                idx.map.capacity() * per_entry + idx.built_upto * 6
+            .map(|idx| {
+                let key_bytes = idx.positions.len() * 8 + 16; // boxed key + fat pointer
+                let one = idx.one.capacity() * (8 + 24 + 8); // key + Vec header + map slot
+                let many = idx.many.capacity() * (key_bytes + 24 + 8);
+                one + many + idx.built_upto * 6
             })
             .sum();
         let bitmaps = (self.dead.capacity() + self.derived.capacity()) * 8;
@@ -525,9 +607,51 @@ impl Relation {
 pub(crate) enum Verdict {
     /// First occurrence, absent from the frozen store: will insert.
     Insert,
-    /// Already present (in the store or earlier in the batch): duplicate.
+    /// Already present in the frozen store: duplicate.
+    Present,
+    /// Absent from the store but equal to an earlier tuple of the batch.
     Dup,
 }
+
+/// One emitted head tuple of an insert batch, ready for the dedup phase.
+pub(crate) struct BatchRow<'a> {
+    /// Batch-level predicate identity: tuples of one predicate share it.
+    pub(crate) pred: u32,
+    /// The stored relation, `None` while the predicate has no relation yet.
+    pub(crate) rel: Option<u32>,
+    /// The tuple as exact ids.
+    pub(crate) ids: &'a [u64],
+    /// [`class_hash`] of `ids` — the row hash the store keys on.
+    pub(crate) hash: u64,
+}
+
+/// A [`BatchRow`] keyed by class-id equality, for the intra-batch
+/// first-occurrence set.
+struct SeenKey<'a> {
+    row: &'a BatchRow<'a>,
+    class: &'a [u64],
+}
+
+impl std::hash::Hash for SeenKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.row.hash);
+        state.write_u32(self.row.pred);
+    }
+}
+
+impl PartialEq for SeenKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.row, other.row);
+        a.pred == b.pred
+            && a.ids.len() == b.ids.len()
+            && a.ids
+                .iter()
+                .zip(b.ids)
+                .all(|(&x, &y)| self.class[x as usize] == self.class[y as usize])
+    }
+}
+
+impl Eq for SeenKey<'_> {}
 
 /// The fact database the engine reads from and writes to.
 ///
@@ -538,9 +662,10 @@ pub(crate) enum Verdict {
 #[derive(Default)]
 pub struct FactDb {
     pool: ValuePool,
-    rels: FxHashMap<String, Relation>,
-    /// Predicate names in creation order; index = [`Relation::pred_id`].
-    pred_names: Vec<String>,
+    /// Relations in creation order; index = [`Relation::pred_id`].
+    rels: Vec<Relation>,
+    /// Predicate name → [`Relation::pred_id`].
+    by_name: FxHashMap<String, u32>,
     /// Why-provenance edges, present only when the engine enabled them
     /// (`EngineConfig::provenance`); `None` keeps the hot path free of even
     /// a branch-per-parent cost.
@@ -582,24 +707,13 @@ impl FactDb {
     /// stored tuple is still `Ok(None)` at the cap: capacity only gates
     /// growth.
     pub fn insert_id(&mut self, predicate: &str, tuple: &[Value]) -> Result<Option<FactId>> {
-        use std::collections::hash_map::Entry;
-        let pred_names = &mut self.pred_names;
-        let rel = match self.rels.entry(predicate.to_string()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                guard_pred_capacity(pred_names.len())?;
-                let pid = pred_names.len() as u32;
-                pred_names.push(predicate.to_string());
-                e.insert(Relation::new(tuple.len(), pid))
-            }
-        };
-        if rel.arity != tuple.len() {
-            return Err(KgmError::Schema(format!(
-                "predicate `{predicate}` has arity {}, got tuple of length {}",
-                rel.arity,
-                tuple.len()
-            )));
-        }
+        let pid = self.relation_id(predicate, tuple.len())?;
+        self.insert_at(pid, tuple)
+    }
+
+    /// [`FactDb::insert_id`] into the relation with id `pid`.
+    fn insert_at(&mut self, pid: u32, tuple: &[Value]) -> Result<Option<FactId>> {
+        self.check_arity(pid, tuple.len())?;
         self.scratch.clear();
         self.scratch_class.clear();
         for v in tuple {
@@ -608,23 +722,55 @@ impl FactDb {
             self.scratch_class.push(self.pool.class(id));
         }
         let h = hash_ids(&self.scratch_class);
+        let rel = &mut self.rels[pid as usize];
         if rel
             .find(h, &self.scratch_class, self.pool.classes())
             .is_some()
         {
             return Ok(None);
         }
-        guard_row_capacity(predicate, rel.rows())?;
+        guard_row_capacity(&rel.name, rel.rows())?;
         rel.append_row(h, &self.scratch);
         self.total += 1;
-        Ok(Some(fact_id(rel.pred_id, (rel.rows() - 1) as u32)))
+        Ok(Some(fact_id(pid, (rel.rows() - 1) as u32)))
     }
 
-    /// Bulk insert.
+    /// The id of `predicate`'s relation, creating an empty one of `arity`
+    /// columns if the predicate is new. Creation order assigns the
+    /// predicate half of every [`FactId`].
+    pub(crate) fn relation_id(&mut self, predicate: &str, arity: usize) -> Result<u32> {
+        if let Some(&pid) = self.by_name.get(predicate) {
+            return Ok(pid);
+        }
+        guard_pred_capacity(self.rels.len())?;
+        let pid = self.rels.len() as u32;
+        self.rels.push(Relation::new(predicate, arity, pid));
+        self.by_name.insert(predicate.to_string(), pid);
+        Ok(pid)
+    }
+
+    /// Reject a tuple of `len` values for relation `pid` of another arity.
+    pub(crate) fn check_arity(&self, pid: u32, len: usize) -> Result<()> {
+        let rel = &self.rels[pid as usize];
+        if rel.arity != len {
+            return Err(KgmError::Schema(format!(
+                "predicate `{}` has arity {}, got tuple of length {len}",
+                rel.name, rel.arity
+            )));
+        }
+        Ok(())
+    }
+
+    /// Bulk insert: the relation is resolved once and sized for the batch.
     pub fn add_facts(&mut self, predicate: &str, tuples: Vec<Vec<Value>>) -> Result<usize> {
+        let Some(first) = tuples.first() else {
+            return Ok(0);
+        };
+        let pid = self.relation_id(predicate, first.len())?;
+        self.rels[pid as usize].reserve(tuples.len());
         let mut n = 0;
-        for t in tuples {
-            if self.insert(predicate, t)? {
+        for t in &tuples {
+            if self.insert_at(pid, t)?.is_some() {
                 n += 1;
             }
         }
@@ -662,16 +808,21 @@ impl FactDb {
         predicate: &str,
         start: usize,
     ) -> impl Iterator<Item = Vec<Value>> + '_ {
-        let rel = self.rels.get(predicate);
+        let rel = self.rel(predicate);
         let rows = rel.map_or(0, Relation::rows);
         (start.min(rows)..rows)
             .filter(move |&row| !rel.is_some_and(|r| r.is_dead(row)))
             .map(move |row| {
                 let rel = rel.expect("rows > 0 implies the relation exists");
-                (0..rel.arity)
-                    .map(|c| self.pool.get(rel.id_at(row, c)).clone())
-                    .collect()
+                self.row_values(rel, row)
             })
+    }
+
+    /// The tuple at physical `row` of `rel`, decoded.
+    fn row_values(&self, rel: &Relation, row: usize) -> Vec<Value> {
+        (0..rel.arity)
+            .map(|c| self.pool.get(rel.id_at(row, c)).clone())
+            .collect()
     }
 
     /// One-pass extraction of the database's *logical* contents for epoch
@@ -684,18 +835,11 @@ impl FactDb {
     pub fn snapshot_rows(&self) -> Vec<(String, usize, Vec<Vec<Value>>)> {
         let mut out: Vec<(String, usize, Vec<Vec<Value>>)> = Vec::with_capacity(self.rels.len());
         for pred in self.predicates() {
-            let rel = &self.rels[&pred];
-            let mut rows = Vec::with_capacity(rel.live());
-            for row in 0..rel.rows() {
-                if rel.is_dead(row) {
-                    continue;
-                }
-                rows.push(
-                    (0..rel.arity)
-                        .map(|c| self.pool.get(rel.id_at(row, c)).clone())
-                        .collect(),
-                );
-            }
+            let rel = self.rel(&pred).expect("listed predicates exist");
+            let rows = (0..rel.rows())
+                .filter(|&row| !rel.is_dead(row))
+                .map(|row| self.row_values(rel, row))
+                .collect();
             out.push((pred, rel.arity, rows));
         }
         out
@@ -703,7 +847,7 @@ impl FactDb {
 
     /// Number of live facts for `predicate`.
     pub fn len(&self, predicate: &str) -> usize {
-        self.rels.get(predicate).map(Relation::live).unwrap_or(0)
+        self.rel(predicate).map(Relation::live).unwrap_or(0)
     }
 
     /// Number of *physical* rows of `predicate`, tombstoned ones included.
@@ -711,7 +855,7 @@ impl FactDb {
     /// row indexes, which [`FactDb::len`] no longer exposes once a database
     /// has seen deletions.
     pub(crate) fn rows_of(&self, predicate: &str) -> usize {
-        self.rels.get(predicate).map(Relation::rows).unwrap_or(0)
+        self.rel(predicate).map(Relation::rows).unwrap_or(0)
     }
 
     /// True if the database holds no facts at all.
@@ -731,7 +875,7 @@ impl FactDb {
     /// tracks actual allocation within small constant factors (pinned by a
     /// regression test against a counting allocator).
     pub fn approx_bytes(&self) -> usize {
-        let rels: usize = self.rels.values().map(Relation::approx_bytes).sum();
+        let rels: usize = self.rels.iter().map(Relation::approx_bytes).sum();
         let prov = self.prov.as_ref().map_or(0, ProvStore::approx_bytes);
         rels + prov + self.pool.approx_bytes()
     }
@@ -745,7 +889,7 @@ impl FactDb {
     /// The [`FactId`] of a stored fact, if present. Read-only, same probe
     /// as [`FactDb::contains`].
     pub fn find_id(&self, predicate: &str, tuple: &[Value]) -> Option<FactId> {
-        let rel = self.rels.get(predicate)?;
+        let rel = self.rel(predicate)?;
         if rel.arity != tuple.len() {
             return None;
         }
@@ -763,7 +907,7 @@ impl FactDb {
                 None => return None,
             }
         }
-        rel.find(hash_ids(ids), ids, self.pool.classes())
+        rel.find_key(ids, self.pool.classes())
             .map(|row| fact_id(rel.pred_id, row))
     }
 
@@ -772,16 +916,12 @@ impl FactDb {
     /// row still resolves, so deletion passes can read back the tuples they
     /// just removed (e.g. to check which ones were re-derived).
     pub fn fact_values(&self, id: FactId) -> Option<(&str, Vec<Value>)> {
-        let pred = self.pred_names.get(fact_pred(id) as usize)?;
-        let rel = self.rels.get(pred)?;
+        let rel = self.rels.get(fact_pred(id) as usize)?;
         let row = fact_row(id) as usize;
         if row >= rel.rows() {
             return None;
         }
-        let tuple = (0..rel.arity)
-            .map(|c| self.pool.get(rel.id_at(row, c)).clone())
-            .collect();
-        Some((pred.as_str(), tuple))
+        Some((rel.name.as_str(), self.row_values(rel, row)))
     }
 
     // -----------------------------------------------------------------
@@ -793,10 +933,7 @@ impl FactDb {
     /// Returns `false` if the id names no live row (already dead, row out
     /// of range, unknown predicate) — tombstoning is idempotent.
     pub(crate) fn tombstone(&mut self, id: FactId) -> bool {
-        let Some(pred) = self.pred_names.get(fact_pred(id) as usize) else {
-            return false;
-        };
-        let Some(rel) = self.rels.get_mut(pred) else {
+        let Some(rel) = self.rels.get_mut(fact_pred(id) as usize) else {
             return false;
         };
         let row = fact_row(id) as usize;
@@ -810,18 +947,6 @@ impl FactDb {
         true
     }
 
-    /// Mark the fact `id` as rule-derived (as opposed to loaded EDB). The
-    /// engine calls this on every successful rule-head insert; the marks
-    /// let [`FactDb::tombstone_derived`] wipe exactly the derived portion.
-    pub(crate) fn mark_derived(&mut self, id: FactId) {
-        let Some(pred) = self.pred_names.get(fact_pred(id) as usize) else {
-            return;
-        };
-        if let Some(rel) = self.rels.get_mut(pred) {
-            bit_set(&mut rel.derived, fact_row(id) as usize);
-        }
-    }
-
     /// Tombstone every row marked derived (dropping their provenance
     /// edges); returns how many were newly tombstoned. This is the
     /// "rewind to EDB" primitive behind the incremental-update fallback:
@@ -829,7 +954,7 @@ impl FactDb {
     /// re-derivation.
     pub(crate) fn tombstone_derived(&mut self) -> usize {
         let mut n = 0;
-        for rel in self.rels.values_mut() {
+        for rel in &mut self.rels {
             for row in 0..rel.rows() {
                 if rel.is_derived_row(row) && rel.mark_dead(row) {
                     n += 1;
@@ -912,22 +1037,46 @@ impl FactDb {
 
     /// All predicate names, sorted.
     pub fn predicates(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.rels.keys().cloned().collect();
+        let mut v: Vec<String> = self.by_name.keys().cloned().collect();
         v.sort();
         v
     }
 
-    /// Build (or catch up) the posting-list index of `predicate` over
-    /// `positions`. A no-op for unknown predicates.
-    pub(crate) fn ensure_index(&mut self, predicate: &str, positions: &[usize]) {
-        if let Some(rel) = self.rels.get_mut(predicate) {
-            rel.ensure_index(positions, self.pool.classes());
-        }
+    // -----------------------------------------------------------------
+    // Id-level access for the chase
+    // -----------------------------------------------------------------
+
+    /// The relation id of `predicate`, if it has a relation.
+    pub(crate) fn pred_id(&self, predicate: &str) -> Option<u32> {
+        self.by_name.get(predicate).copied()
     }
 
-    /// The columnar relation of `predicate`, for the engine's join loop.
+    /// The columnar relation of `predicate`.
     pub(crate) fn rel(&self, predicate: &str) -> Option<&Relation> {
-        self.rels.get(predicate)
+        self.pred_id(predicate).map(|pid| self.rel_at(pid))
+    }
+
+    /// The columnar relation with id `pid`.
+    ///
+    /// # Panics
+    /// Panics if `pid` names no relation of this database.
+    pub(crate) fn rel_at(&self, pid: u32) -> &Relation {
+        &self.rels[pid as usize]
+    }
+
+    /// Build (or catch up) the posting-list index of relation `pid` over
+    /// `positions`.
+    pub(crate) fn ensure_index_at(&mut self, pid: u32, positions: &[usize]) {
+        self.rels[pid as usize].ensure_index(positions, self.pool.classes());
+    }
+
+    /// Build (or catch up) the posting-list index of `predicate` over
+    /// `positions`. A no-op for unknown predicates.
+    #[cfg(test)]
+    fn ensure_index(&mut self, predicate: &str, positions: &[usize]) {
+        if let Some(pid) = self.pred_id(predicate) {
+            self.ensure_index_at(pid, positions);
+        }
     }
 
     /// The value pool, for packing join keys and resolving ids.
@@ -935,53 +1084,69 @@ impl FactDb {
         &self.pool
     }
 
-    /// Parallel dedup phase of the partitioned merge: compute, for every
-    /// candidate in `batch`, whether it will insert or is a duplicate —
-    /// without mutating the store. Candidates are hash-partitioned over
-    /// `partitions` workers; equal tuples land in the same partition, so the
-    /// "first occurrence in global batch order wins" rule is decided locally
-    /// per partition. The verdict vector is a pure function of the frozen
-    /// store and the batch (the partition count only divides the work), so
-    /// the subsequent serial apply is bit-identical at any thread count.
+    /// The value pool, for the chase's single writer to intern values that
+    /// rule firings computed.
+    pub(crate) fn pool_mut(&mut self) -> &mut ValuePool {
+        &mut self.pool
+    }
+
+    /// Append a rule-derived tuple of exact ids that the caller has
+    /// established is absent (by probe or verdict), with its [`class_hash`]
+    /// `h`, and mark it derived. The row-capacity cap still applies.
+    pub(crate) fn append_derived(&mut self, pid: u32, h: u64, ids: &[u64]) -> Result<FactId> {
+        let rel = &mut self.rels[pid as usize];
+        guard_row_capacity(&rel.name, rel.rows())?;
+        let row = rel.rows();
+        rel.append_row(h, ids);
+        bit_set(&mut rel.derived, row);
+        self.total += 1;
+        Ok(fact_id(pid, row as u32))
+    }
+
+    /// Dedup phase of the partitioned merge: compute, for every candidate
+    /// in `batch`, whether it will insert, is already stored, or repeats an
+    /// earlier candidate — without mutating the store. Candidates are
+    /// hash-partitioned over `partitions` workers (one partition runs
+    /// inline) by their row hash; equal tuples land in the same partition,
+    /// so the "first occurrence in global batch order wins" rule is decided
+    /// locally per partition. Everything compares class ids; nothing is interned. The
+    /// verdict vector is a pure function of the frozen store and the batch
+    /// (the partition count only divides the work), so the subsequent
+    /// serial apply is bit-identical at any thread count.
     pub(crate) fn insert_batch_verdicts(
         &self,
-        batch: &[(String, Vec<Value>)],
+        batch: &[BatchRow<'_>],
         partitions: usize,
     ) -> Vec<Verdict> {
         use kgm_runtime::par;
         let n = batch.len();
         let parts = partitions.clamp(1, n.max(1));
-        // Hash every candidate in parallel (pred + values; any hash works —
-        // it only routes work), then bucket indices by partition.
-        let ranges = par::split_range(0..n, parts);
-        let hashed: Vec<Vec<u64>> = par::par_map(&ranges, parts, |r| {
-            r.clone()
-                .map(|i| {
-                    let (pred, tuple) = &batch[i];
-                    let mut h = FxHasher::default();
-                    h.write(pred.as_bytes());
-                    for v in tuple {
-                        std::hash::Hash::hash(v, &mut h);
-                    }
-                    h.finish()
-                })
-                .collect()
-        });
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); parts];
-        for (i, h) in hashed.into_iter().flatten().enumerate() {
-            buckets[(h as usize) % parts].push(i as u32);
+        for (i, row) in batch.iter().enumerate() {
+            buckets[(row.hash as usize) % parts].push(i as u32);
         }
+        let class = self.pool.classes();
         // Each partition owner walks its bucket in ascending (= global batch)
         // order: frozen-store probe plus intra-batch first-occurrence.
         let verdict_parts: Vec<Vec<(u32, Verdict)>> = par::par_map(&buckets, parts, |bucket| {
-            let mut seen: FxHashMap<(&str, &[Value]), ()> = FxHashMap::default();
+            let mut seen: FxHashSet<SeenKey<'_>> = FxHashSet::default();
             bucket
                 .iter()
                 .map(|&i| {
-                    let (pred, tuple) = &batch[i as usize];
-                    let novel = !self.contains(pred, tuple)
-                        && seen.insert((pred.as_str(), tuple.as_slice()), ()).is_none();
-                    (i, if novel { Verdict::Insert } else { Verdict::Dup })
+                    let row = &batch[i as usize];
+                    let stored = row.rel.is_some_and(|pid| {
+                        let rel = &self.rels[pid as usize];
+                        rel.arity == row.ids.len()
+                            && rel.find_ids(row.hash, row.ids, class).is_some()
+                    });
+                    let verdict = if stored {
+                        Verdict::Present
+                    } else if seen.insert(SeenKey { row, class }) {
+                        Verdict::Insert
+                    } else {
+                        Verdict::Dup
+                    };
+                    (i, verdict)
                 })
                 .collect()
         });
@@ -1013,6 +1178,41 @@ mod tests {
     fn ids(db: &FactDb, pred: &str, positions: &[usize], key: &[u64], range: Range<usize>) -> Vec<u32> {
         let rel = db.rel(pred).unwrap();
         rel.lookup(positions, key, &range, db.pool().classes()).collect()
+    }
+
+    /// Insert a tuple the way the chase's writer does: intern, hash the
+    /// classes, append as derived.
+    fn insert_derived(db: &mut FactDb, pred: &str, tuple: &[Value]) -> FactId {
+        let pid = db.relation_id(pred, tuple.len()).unwrap();
+        let ids: Vec<u64> = tuple.iter().map(|v| db.pool_mut().intern(v)).collect();
+        let h = class_hash(&ids, db.pool().classes());
+        db.append_derived(pid, h, &ids).unwrap()
+    }
+
+    /// Batch verdicts for `(predicate, tuple)` candidates, interned first.
+    fn verdicts(db: &mut FactDb, batch: &[(&str, Vec<Value>)], parts: usize) -> Vec<Verdict> {
+        let ids: Vec<Vec<u64>> = batch
+            .iter()
+            .map(|(_, t)| t.iter().map(|v| db.pool_mut().intern(v)).collect())
+            .collect();
+        let mut names: Vec<&str> = Vec::new();
+        let rows: Vec<BatchRow<'_>> = batch
+            .iter()
+            .zip(&ids)
+            .map(|((pred, _), ids)| {
+                let pos = names.iter().position(|n| n == pred).unwrap_or_else(|| {
+                    names.push(pred);
+                    names.len() - 1
+                });
+                BatchRow {
+                    pred: pos as u32,
+                    rel: db.pred_id(pred),
+                    ids,
+                    hash: class_hash(ids, db.pool().classes()),
+                }
+            })
+            .collect();
+        db.insert_batch_verdicts(&rows, parts)
     }
 
     #[test]
@@ -1151,22 +1351,29 @@ mod tests {
     fn batch_verdicts_are_partition_count_invariant() {
         let mut db = FactDb::new();
         db.insert("p", vec![Value::Int(0)]).unwrap();
-        let batch: Vec<(String, Vec<Value>)> = (0..64)
-            .map(|i| ("p".to_string(), vec![Value::Int((i % 10) as i64)]))
+        // Floats equal to stored or earlier ints dedup by class.
+        let mut batch: Vec<(&str, Vec<Value>)> = (0..64)
+            .map(|i| ("p", vec![Value::Int((i % 10) as i64)]))
             .collect();
-        let v1 = db.insert_batch_verdicts(&batch, 1);
+        batch.push(("p", vec![Value::Float(3.0)]));
+        batch.push(("q", vec![Value::Int(3)]));
+        batch.push(("q", vec![Value::Float(3.0)]));
+        let v1 = verdicts(&mut db, &batch, 1);
         for parts in [2, 3, 8, 64] {
-            assert_eq!(db.insert_batch_verdicts(&batch, parts), v1, "parts={parts}");
+            assert_eq!(verdicts(&mut db, &batch, parts), v1, "parts={parts}");
         }
         // Int(0) pre-exists; 1..=9 insert exactly once each, at their first
-        // occurrence in batch order.
-        let inserts: Vec<usize> = v1
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v == Verdict::Insert)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(inserts, (1..10).collect::<Vec<_>>());
+        // occurrence in batch order; `q` has no relation yet.
+        let of = |want: Verdict| -> Vec<usize> {
+            v1.iter()
+                .enumerate()
+                .filter(|(_, v)| **v == want)
+                .map(|(i, _)| i)
+                .collect()
+        };
+        assert_eq!(of(Verdict::Insert), [(1..10).collect(), vec![65]].concat());
+        assert_eq!(of(Verdict::Present), vec![0, 10, 20, 30, 40, 50, 60]);
+        assert_eq!(of(Verdict::Dup).len(), 64 + 3 - 10 - 7);
     }
 
     #[test]
@@ -1257,10 +1464,11 @@ mod tests {
         assert_eq!(fact_row(b2), 3);
         assert_eq!(db.find_id("p", &[Value::Int(2)]), Some(b2));
         assert_eq!(db.len("p"), 3);
-        // Batch verdicts see the live view: a dup of the live row.
-        let verdicts =
-            db.insert_batch_verdicts(&[("p".to_string(), vec![Value::Int(2)])], 1);
-        assert_eq!(verdicts, vec![Verdict::Dup]);
+        // Batch verdicts see the live view: the live row is present.
+        assert_eq!(
+            verdicts(&mut db, &[("p", vec![Value::Int(2)])], 1),
+            vec![Verdict::Present]
+        );
         // Untouched rows keep their ids.
         assert_eq!(db.find_id("p", &[Value::Int(1)]), Some(a));
         // Tombstoning an unknown id is a no-op.
@@ -1295,10 +1503,8 @@ mod tests {
         let mut db = FactDb::new();
         db.enable_provenance();
         let edb = db.insert_id("p", &[Value::Int(1)]).unwrap().unwrap();
-        let d1 = db.insert_id("q", &[Value::Int(2)]).unwrap().unwrap();
-        let d2 = db.insert_id("p", &[Value::Int(3)]).unwrap().unwrap();
-        db.mark_derived(d1);
-        db.mark_derived(d2);
+        let d1 = insert_derived(&mut db, "q", &[Value::Int(2)]);
+        let d2 = insert_derived(&mut db, "p", &[Value::Int(3)]);
         db.record_prov(d1, 0, &[edb]);
         db.record_prov(d2, 1, &[d1]);
         assert_eq!(db.prov_edges(), 2);

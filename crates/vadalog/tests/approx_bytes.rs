@@ -7,9 +7,14 @@
 //! forgotten structure (the old row-oriented proxy undercounted its dedup
 //! set entirely) while leaving room for allocator slack the estimate cannot
 //! see.
+//!
+//! The counter is process-global, so the tests take [`SERIAL`] for their
+//! whole measurement: under the parallel test runner another test's
+//! allocations would otherwise land in the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use kgm_common::Value;
 use kgm_vadalog::{parse_program, Engine, EngineConfig, FactDb};
@@ -50,8 +55,17 @@ fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
+/// Held by each test for its whole body, so one measures at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others still measure correctly.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn approx_bytes_tracks_measured_allocation_within_2x() {
+    let _serial = serial();
     let before = live();
     let mut db = FactDb::new();
     for i in 0..40_000i64 {
@@ -83,6 +97,7 @@ fn approx_bytes_tracks_measured_allocation_within_2x() {
 /// governor's memory budget.
 #[test]
 fn approx_bytes_tracks_allocation_with_provenance_on() {
+    let _serial = serial();
     let program = parse_program(
         "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
     )
@@ -122,6 +137,7 @@ fn approx_bytes_tracks_allocation_with_provenance_on() {
 /// and dedup state through the engine's own insert path.
 #[test]
 fn approx_bytes_tracks_allocation_after_a_chase() {
+    let _serial = serial();
     let program = parse_program(
         "edge(X,Y) -> path(X,Y). path(X,Y), edge(Y,Z) -> path(X,Z).",
     )
