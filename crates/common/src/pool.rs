@@ -25,8 +25,14 @@
 //! and a value of the same type found there is that member exactly. Other
 //! representations (`Float(1.0)` in the class of `Int(1)`) live in a small
 //! side map.
+//!
+//! An [`Oid`] equals only itself, so each OID is a class of one. OIDs are
+//! most of what a loaded dictionary interns (every instance construct has
+//! one), so they skip the `Value`-keyed class map and live in a map keyed
+//! by the 8-byte [`Oid`]; exact and class id coincide for them.
 
 use crate::hash::FxHashMap;
+use crate::oid::Oid;
 use crate::value::{Value, ValueType};
 
 /// An append-only `Value` ↔ `u64` id table (see the module docs for the
@@ -46,6 +52,9 @@ pub struct ValuePool {
     /// of their class. The `ValueType` component splits the cross-numeric
     /// `Int`/`Float` equality class into its exact members.
     other_ids: FxHashMap<(ValueType, Value), u64>,
+    /// OID → id (exact and class id at once: an OID's class is itself).
+    /// OIDs never enter `class_ids`.
+    oid_ids: FxHashMap<Oid, u64>,
     /// Indirect heap bytes owned by interned values (string payloads); the
     /// direct `Vec`/map footprint is derived from capacities on demand.
     str_bytes: usize,
@@ -86,6 +95,9 @@ impl ValuePool {
     /// `Ok(exact id)` if `v`'s representation is interned, else
     /// `Err(class id)` of the class it would join, if any.
     fn probe(&self, v: &Value) -> std::result::Result<u64, Option<u64>> {
+        if let Value::Oid(o) = v {
+            return self.oid_ids.get(o).copied().ok_or(None);
+        }
         match self.class_ids.get_key_value(v) {
             Some((first, &class)) if first.value_type() == v.value_type() => Ok(class),
             Some((_, &class)) => match self.other_ids.get(&(v.value_type(), v.clone())) {
@@ -101,12 +113,16 @@ impl ValuePool {
         if let Value::Str(s) = &v {
             self.str_bytes += s.len();
         }
-        match class {
-            Some(class) => {
+        match (&v, class) {
+            (_, Some(class)) => {
                 self.class_of.push(class);
                 self.other_ids.insert((v.value_type(), v.clone()), id);
             }
-            None => {
+            (Value::Oid(o), None) => {
+                self.class_of.push(id);
+                self.oid_ids.insert(*o, id);
+            }
+            (_, None) => {
                 self.class_of.push(id);
                 self.class_ids.insert(v.clone(), id);
             }
@@ -137,7 +153,10 @@ impl ValuePool {
     /// probes use this — a miss means no equal value (and hence no tuple
     /// containing one) can be present.
     pub fn lookup(&self, v: &Value) -> Option<u64> {
-        self.class_ids.get(v).copied()
+        match v {
+            Value::Oid(o) => self.oid_ids.get(o).copied(),
+            _ => self.class_ids.get(v).copied(),
+        }
     }
 
     /// Read-only probe: the **exact id** of `v`'s representation, if it was
@@ -170,7 +189,7 @@ impl ValuePool {
     }
 
     /// Approximate heap footprint of the pool itself: the reverse table, the
-    /// class table, both id maps, and string payloads. Each `Arc<str>`
+    /// class table, the three id maps, and string payloads. Each `Arc<str>`
     /// payload is counted once even though map keys and the reverse table
     /// share it.
     pub fn approx_bytes(&self) -> usize {
@@ -180,10 +199,12 @@ impl ValuePool {
         // with hashbrown's ~8/7 capacity slack folded into a flat factor.
         let other_entry = std::mem::size_of::<(ValueType, Value)>() + u64s + 8;
         let class_entry = val + u64s + 8;
+        let oid_entry = std::mem::size_of::<Oid>() + u64s + 8;
         self.vals.capacity() * val
             + self.class_of.capacity() * u64s
             + self.other_ids.capacity() * other_entry
             + self.class_ids.capacity() * class_entry
+            + self.oid_ids.capacity() * oid_entry
             + self.str_bytes
     }
 }
@@ -282,6 +303,50 @@ mod tests {
         for id in 0..pool.len() as u64 {
             assert_eq!(classes[id as usize], pool.class(id));
         }
+    }
+
+    #[test]
+    fn oids_are_classes_of_one_among_numeric_classes() {
+        use crate::oid::OidSpace;
+        let mut pool = ValuePool::new();
+        let a = Value::Oid(Oid::ground(1));
+        let null = Value::Oid(Oid::new(OidSpace::Null, 1));
+        let i = pool.intern(&Value::Int(1));
+        let oa = pool.intern(&a);
+        let f = pool.intern(&Value::Float(1.0));
+        let on = pool.intern_owned(null.clone());
+        // Exact ids follow interning order across both maps.
+        assert_eq!((i, oa, f, on), (0, 1, 2, 3));
+        assert_eq!(pool.intern(&a), oa, "re-interning an OID is stable");
+        assert_eq!(pool.len(), 4);
+        // An OID is its own class; it joins no numeric class, and OIDs
+        // with the same payload in different spaces stay apart.
+        assert_eq!(pool.class(oa), oa);
+        assert_eq!(pool.class(on), on);
+        assert_eq!(pool.class(f), i);
+        assert_eq!(pool.classes(), &[0, 1, 0, 3]);
+        assert_eq!(pool.find_exact(&a), Some(oa));
+        assert_eq!(pool.lookup(&a), Some(oa));
+        assert_eq!(pool.lookup(&null), Some(on));
+        assert_eq!(pool.lookup(&Value::Oid(Oid::ground(2))), None);
+        assert_eq!(pool.find_exact(&Value::Oid(Oid::ground(2))), None);
+        assert_eq!(pool.lookup(&Value::Float(1.0)), Some(i));
+        assert_eq!(pool.get(oa), &a);
+        assert_eq!(pool.get(on), &null);
+        assert_eq!(pool.len(), 4, "probes must not intern");
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_oid_map() {
+        let mut pool = ValuePool::new();
+        let empty = pool.approx_bytes();
+        for i in 0..1000 {
+            pool.intern_owned(Value::Oid(Oid::ground(i)));
+        }
+        // Per OID at least its reverse-table slot, class slot and map entry.
+        let per = std::mem::size_of::<Value>() + 8 + std::mem::size_of::<Oid>() + 8;
+        let full = pool.approx_bytes();
+        assert!(full >= empty + 1000 * per, "{empty} -> {full}");
     }
 
     #[test]

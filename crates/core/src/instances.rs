@@ -15,15 +15,9 @@
 
 use crate::dictionary::Dictionary;
 use crate::supermodel::SuperSchema;
-use kgm_common::{FxHashMap, KgmError, Oid, Result, Value};
+use kgm_common::{FxHashMap, KgmError, Oid, Result, Symbol, Value};
 use kgm_pgstore::{Direction, NodeId, PropertyGraph};
-
-fn props(pairs: &[(&str, Value)]) -> Vec<(String, Value)> {
-    pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.clone()))
-        .collect()
-}
+use std::collections::hash_map::Entry;
 
 /// Statistics of one instance load.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -49,8 +43,65 @@ pub struct InstanceMap {
     pub instance_to_node: FxHashMap<Oid, NodeId>,
 }
 
+/// The dictionary side of one data label (set): the `SM_*` construct its
+/// elements reference and the schema-known attributes to copy, keyed by the
+/// data graph's property symbol. Attributes whose name no data element
+/// carries (the key was never interned in the data graph) are left out: no
+/// element can have them.
+struct Kind {
+    construct: NodeId,
+    attrs: Vec<(Symbol, NodeId)>,
+}
+
+impl Kind {
+    fn new(dict: &Dictionary, data: &PropertyGraph, construct: NodeId, attrs: Vec<NodeId>) -> Kind {
+        let attrs = attrs
+            .into_iter()
+            .filter_map(|a| {
+                let name = dict.graph.node_prop(a, "name")?.to_string();
+                Some((data.interner().get(&name)?, a))
+            })
+            .collect();
+        Kind { construct, attrs }
+    }
+}
+
+/// Resolve the `SM_Node` and attribute list of one data node label set:
+/// the most specific schema label wins, and inherited attributes (those of
+/// its ancestors) follow its own. `None` if no label is a schema node.
+fn node_kind(
+    dict: &Dictionary,
+    schema: &SuperSchema,
+    schema_oid: i64,
+    data: &PropertyGraph,
+    labels: &[Symbol],
+) -> Result<Option<Kind>> {
+    let labels: Vec<String> = labels.iter().map(|&l| data.sym_name(l)).collect();
+    let Some(best) = labels
+        .iter()
+        .filter(|l| schema.node(l).is_some())
+        .max_by_key(|l| schema.ancestors(l).len())
+    else {
+        return Ok(None);
+    };
+    let sm_node = dict
+        .sm_node_by_name(best, schema_oid)
+        .ok_or_else(|| KgmError::NotFound(format!("SM_Node `{best}` in dictionary")))?;
+    let mut attrs = dict.attributes_of(sm_node, "SM_HAS_NODE_ATTR");
+    for anc in schema.ancestors(best) {
+        if let Some(anc_node) = dict.sm_node_by_name(anc, schema_oid) {
+            attrs.extend(dict.attributes_of(anc_node, "SM_HAS_NODE_ATTR"));
+        }
+    }
+    Ok(Some(Kind::new(dict, data, sm_node, attrs)))
+}
+
 /// Load a data graph (an instance of the PG schema generated from
 /// `schema`) into instance-level constructs inside `dict`.
+///
+/// The schema is resolved once per distinct node label set and per edge
+/// label, not per element, and every insert goes through the dictionary's
+/// symbol-taking path with its vocabulary interned up front.
 pub fn load_instance(
     dict: &mut Dictionary,
     schema: &SuperSchema,
@@ -61,73 +112,65 @@ pub fn load_instance(
     let mut stats = LoadStats::default();
     let mut map = InstanceMap::default();
     let iv = Value::Int(instance_oid);
+    let sym = |s: &str| dict.graph.sym(s);
+    let (i_node, i_edge, i_attr) = (sym("I_SM_Node"), sym("I_SM_Edge"), sym("I_SM_Attribute"));
+    let (instance_key, src_key, value_key) = (sym("instanceOID"), sym("srcOID"), sym("value"));
+    let refs = sym("SM_REFERENCES");
+    let (has_nattr, has_eattr) = (sym("I_SM_HAS_NODE_ATTR"), sym("I_SM_HAS_EDGE_ATTR"));
+    let (from, to) = (sym("I_SM_FROM"), sym("I_SM_TO"));
 
-    // Most specific schema label per data node.
-    let specificity = |label: &str| schema.ancestors(label).len();
+    // Per node label set (as stored, so label order is part of the key).
+    let mut node_kinds: FxHashMap<Vec<Symbol>, Option<Kind>> = FxHashMap::default();
     for n in data.nodes() {
-        let labels = data.node_labels(n);
-        let best = labels
-            .iter()
-            .filter(|l| schema.node(l).is_some())
-            .max_by_key(|l| specificity(l));
-        let Some(best) = best else {
+        let labels = data.node_label_syms(n);
+        if !node_kinds.contains_key(labels) {
+            let kind = node_kind(dict, schema, schema_oid, data, labels)?;
+            node_kinds.insert(labels.to_vec(), kind);
+        }
+        let Some(kind) = &node_kinds[labels] else {
             stats.skipped_nodes += 1;
             continue;
         };
-        let sm_node = dict
-            .sm_node_by_name(best, schema_oid)
-            .ok_or_else(|| KgmError::NotFound(format!("SM_Node `{best}` in dictionary")))?;
-        let inode = dict.graph.add_node(
-            ["I_SM_Node"],
-            props(&[
-                ("instanceOID", iv.clone()),
-                ("srcOID", Value::Oid(data.node_oid(n))),
-            ]),
+        let g = &mut dict.graph;
+        let inode = g.add_node_syms(
+            vec![i_node],
+            vec![
+                (instance_key, iv.clone()),
+                (src_key, Value::Oid(data.node_oid(n))),
+            ],
         )?;
-        dict.graph
-            .add_edge(inode, sm_node, "SM_REFERENCES", props(&[]))?;
+        g.add_edge_sym(inode, kind.construct, refs, Vec::new())?;
         stats.nodes += 1;
         map.node_to_instance.insert(n, inode);
-        map.instance_to_node.insert(dict.graph.node_oid(inode), n);
-
-        // Attributes: every schema-known property of the node.
-        let attr_nodes = dict.attributes_of(sm_node, "SM_HAS_NODE_ATTR");
-        let mut schema_attrs: Vec<(String, NodeId)> = attr_nodes
-            .into_iter()
-            .filter_map(|a| {
-                dict.graph
-                    .node_prop(a, "name")
-                    .map(|v| (v.to_string(), a))
-            })
-            .collect();
-        // Inherited attributes live on ancestor SM_Nodes.
-        for anc in schema.ancestors(best) {
-            if let Some(anc_node) = dict.sm_node_by_name(anc, schema_oid) {
-                for a in dict.attributes_of(anc_node, "SM_HAS_NODE_ATTR") {
-                    if let Some(v) = dict.graph.node_prop(a, "name") {
-                        schema_attrs.push((v.to_string(), a));
-                    }
-                }
-            }
-        }
-        for (name, attr_dict_node) in schema_attrs {
-            if let Some(value) = data.node_prop(n, &name) {
-                let ia = dict.graph.add_node(
-                    ["I_SM_Attribute"],
-                    props(&[("instanceOID", iv.clone()), ("value", value.clone())]),
+        map.instance_to_node.insert(g.node_oid(inode), n);
+        for &(key, attr) in &kind.attrs {
+            if let Some(value) = data.node_prop_sym(n, key) {
+                let ia = g.add_node_syms(
+                    vec![i_attr],
+                    vec![(instance_key, iv.clone()), (value_key, value.clone())],
                 )?;
-                dict.graph
-                    .add_edge(inode, ia, "I_SM_HAS_NODE_ATTR", props(&[]))?;
-                dict.graph
-                    .add_edge(ia, attr_dict_node, "SM_REFERENCES", props(&[]))?;
+                g.add_edge_sym(inode, ia, has_nattr, Vec::new())?;
+                g.add_edge_sym(ia, attr, refs, Vec::new())?;
                 stats.attributes += 1;
             }
         }
     }
 
+    let mut edge_kinds: FxHashMap<Symbol, Option<Kind>> = FxHashMap::default();
     for e in data.edges() {
-        let label = data.edge_label(e);
-        let Some(sm_edge) = dict.sm_edge_by_name(&label, schema_oid) else {
+        let kind = match edge_kinds.entry(data.edge_label_sym(e)) {
+            Entry::Occupied(kind) => kind.into_mut(),
+            Entry::Vacant(slot) => {
+                let kind = dict
+                    .sm_edge_by_name(&data.sym_name(*slot.key()), schema_oid)
+                    .map(|sm_edge| {
+                        let attrs = dict.attributes_of(sm_edge, "SM_HAS_EDGE_ATTR");
+                        Kind::new(dict, data, sm_edge, attrs)
+                    });
+                slot.insert(kind)
+            }
+        };
+        let Some(kind) = kind else {
             stats.skipped_edges += 1;
             continue;
         };
@@ -139,30 +182,26 @@ pub fn load_instance(
             stats.skipped_edges += 1;
             continue;
         };
-        let iedge = dict.graph.add_node(
-            ["I_SM_Edge"],
-            props(&[
-                ("instanceOID", iv.clone()),
-                ("srcOID", Value::Oid(data.edge_oid(e))),
-            ]),
+        let g = &mut dict.graph;
+        let iedge = g.add_node_syms(
+            vec![i_edge],
+            vec![
+                (instance_key, iv.clone()),
+                (src_key, Value::Oid(data.edge_oid(e))),
+            ],
         )?;
-        dict.graph
-            .add_edge(iedge, sm_edge, "SM_REFERENCES", props(&[]))?;
-        dict.graph.add_edge(iedge, fi, "I_SM_FROM", props(&[]))?;
-        dict.graph.add_edge(iedge, ti, "I_SM_TO", props(&[]))?;
+        g.add_edge_sym(iedge, kind.construct, refs, Vec::new())?;
+        g.add_edge_sym(iedge, fi, from, Vec::new())?;
+        g.add_edge_sym(iedge, ti, to, Vec::new())?;
         stats.edges += 1;
-        for a in dict.attributes_of(sm_edge, "SM_HAS_EDGE_ATTR") {
-            let Some(name) = dict.graph.node_prop(a, "name").map(|v| v.to_string()) else {
-                continue;
-            };
-            if let Some(value) = data.edge_prop(e, &name) {
-                let ia = dict.graph.add_node(
-                    ["I_SM_Attribute"],
-                    props(&[("instanceOID", iv.clone()), ("value", value.clone())]),
+        for &(key, attr) in &kind.attrs {
+            if let Some(value) = data.edge_prop_sym(e, key) {
+                let ia = g.add_node_syms(
+                    vec![i_attr],
+                    vec![(instance_key, iv.clone()), (value_key, value.clone())],
                 )?;
-                dict.graph
-                    .add_edge(iedge, ia, "I_SM_HAS_EDGE_ATTR", props(&[]))?;
-                dict.graph.add_edge(ia, a, "SM_REFERENCES", props(&[]))?;
+                g.add_edge_sym(iedge, ia, has_eattr, Vec::new())?;
+                g.add_edge_sym(ia, attr, refs, Vec::new())?;
                 stats.attributes += 1;
             }
         }

@@ -27,13 +27,14 @@
 use crate::dictionary::Dictionary;
 use crate::instances::{load_instance, InstanceMap};
 use crate::supermodel::SuperSchema;
-use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, OidSpace, Result, Value};
+use kgm_common::{FxHashMap, FxHashSet, KgmError, Oid, OidSpace, Result, Symbol, Value};
 use kgm_metalog::{parse_metalog, translate, PgSchema};
 use kgm_pgstore::{NodeId, PropertyGraph};
 use kgm_vadalog::{
     Atom, Engine, EngineConfig, FactDb, InputBinding, InputSource, Program, Rule,
     RuleStep, SourceRegistry, Term, Termination, Var,
 };
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 use kgm_runtime::telemetry;
 
@@ -739,6 +740,10 @@ pub fn materialize(
 }
 
 /// Materialize the `vo_*` facts into the data graph.
+///
+/// Every `SM_*` OID a fact names is resolved against the dictionary once:
+/// node types to their label lists, edge types to a data-graph label
+/// symbol, attributes to their names.
 fn flush(
     db: &FactDb,
     dict: &Dictionary,
@@ -748,9 +753,31 @@ fn flush(
     stats: &mut MaterializationStats,
 ) -> Result<()> {
     let g = &dict.graph;
+    let construct = |oid: Oid, what: &str| {
+        g.node_by_oid(oid)
+            .ok_or_else(|| KgmError::NotFound(format!("{what} oid {oid:?}")))
+    };
+    let type_name = |oid: Oid, what: &str, link: &str| -> Result<String> {
+        dict.type_name(construct(oid, what)?, link)
+            .ok_or_else(|| KgmError::Schema(format!("{what} without type")))
+    };
+    let mut attr_names: FxHashMap<Oid, String> = FxHashMap::default();
+    let mut attr_name = |oid: Oid| -> Result<String> {
+        if let Some(name) = attr_names.get(&oid) {
+            return Ok(name.clone());
+        }
+        let name = g
+            .node_prop(construct(oid, "SM_Attribute")?, "name")
+            .map(|v| v.to_string())
+            .unwrap_or_default();
+        attr_names.insert(oid, name.clone());
+        Ok(name)
+    };
+
     // Identity → data node: ground instance OIDs map through the load map;
     // labelled nulls / Skolems create fresh nodes on first sight.
     let mut created: FxHashMap<Value, NodeId> = FxHashMap::default();
+    let mut node_labels: FxHashMap<Oid, Vec<String>> = FxHashMap::default();
     let mut resolve_new = |data: &mut PropertyGraph,
                            id: &Value,
                            sm_node_oid: Oid,
@@ -764,15 +791,16 @@ fn flush(
         if let Some(&n) = created.get(id) {
             return Ok(n);
         }
-        let sm = g
-            .node_by_oid(sm_node_oid)
-            .ok_or_else(|| KgmError::NotFound(format!("SM_Node oid {sm_node_oid:?}")))?;
-        let tyname = dict
-            .type_name(sm, "SM_HAS_NODE_TYPE")
-            .ok_or_else(|| KgmError::Schema("SM_Node without type".into()))?;
-        let mut labels = vec![tyname.clone()];
-        labels.extend(schema.ancestors(&tyname).iter().map(|s| s.to_string()));
-        let n = data.add_node(labels, vec![])?;
+        let labels = match node_labels.entry(sm_node_oid) {
+            Entry::Occupied(labels) => labels.into_mut(),
+            Entry::Vacant(slot) => {
+                let tyname = type_name(sm_node_oid, "SM_Node", "SM_HAS_NODE_TYPE")?;
+                let mut labels = vec![tyname.clone()];
+                labels.extend(schema.ancestors(&tyname).iter().map(|s| s.to_string()));
+                slot.insert(labels)
+            }
+        };
+        let n = data.add_node(&*labels, vec![])?;
         created.insert(id.clone(), n);
         stats.new_nodes += 1;
         Ok(n)
@@ -802,13 +830,7 @@ fn flush(
         let attr_oid = t[1]
             .as_oid()
             .ok_or_else(|| KgmError::Internal("vo_nattr without attr oid".into()))?;
-        let attr = g
-            .node_by_oid(attr_oid)
-            .ok_or_else(|| KgmError::NotFound("SM_Attribute".into()))?;
-        let name = g
-            .node_prop(attr, "name")
-            .map(|v| v.to_string())
-            .unwrap_or_default();
+        let name = attr_name(attr_oid)?;
         if data.node_prop(n, &name) != Some(&t[2]) {
             data.set_node_prop(n, &name, t[2].clone())?;
             stats.new_attrs += 1;
@@ -817,21 +839,24 @@ fn flush(
     // vo_edge(IE, F, T, ⟨SM_Edge⟩): create missing edges, dedup on
     // (label, endpoints).
     let mut edge_of: FxHashMap<Value, kgm_pgstore::EdgeId> = FxHashMap::default();
-    let mut existing: FxHashSet<(String, NodeId, NodeId)> = FxHashSet::default();
-    for e in data.edges() {
-        let (f, t) = data.edge_endpoints(e);
-        existing.insert((data.edge_label(e), f, t));
-    }
+    let mut existing: FxHashSet<(Symbol, NodeId, NodeId)> = data
+        .edges()
+        .map(|e| {
+            let (f, t) = data.edge_endpoints(e);
+            (data.edge_label_sym(e), f, t)
+        })
+        .collect();
+    let mut edge_labels: FxHashMap<Oid, Symbol> = FxHashMap::default();
     for t in db.facts_iter("vo_edge") {
         let sm_oid = t[3]
             .as_oid()
             .ok_or_else(|| KgmError::Internal("vo_edge without SM oid".into()))?;
-        let sm = g
-            .node_by_oid(sm_oid)
-            .ok_or_else(|| KgmError::NotFound("SM_Edge".into()))?;
-        let label = dict
-            .type_name(sm, "SM_HAS_EDGE_TYPE")
-            .ok_or_else(|| KgmError::Schema("SM_Edge without type".into()))?;
+        let label = match edge_labels.entry(sm_oid) {
+            Entry::Occupied(label) => *label.get(),
+            Entry::Vacant(slot) => {
+                *slot.insert(data.sym(&type_name(sm_oid, "SM_Edge", "SM_HAS_EDGE_TYPE")?))
+            }
+        };
         // Endpoints must be resolvable: either loaded instance nodes or
         // nodes created by vo_node.
         let resolve_endpoint = |v: &Value| -> Option<NodeId> {
@@ -845,11 +870,10 @@ fn flush(
         let (Some(f), Some(tt)) = (resolve_endpoint(&t[1]), resolve_endpoint(&t[2])) else {
             continue;
         };
-        if existing.contains(&(label.clone(), f, tt)) {
+        if !existing.insert((label, f, tt)) {
             continue;
         }
-        let e = data.add_edge(f, tt, &label, vec![])?;
-        existing.insert((label, f, tt));
+        let e = data.add_edge_sym(f, tt, label, Vec::new())?;
         edge_of.insert(t[0].clone(), e);
         stats.new_edges += 1;
     }
@@ -863,13 +887,7 @@ fn flush(
         let attr_oid = t[1]
             .as_oid()
             .ok_or_else(|| KgmError::Internal("vo_eattr without attr oid".into()))?;
-        let attr = g
-            .node_by_oid(attr_oid)
-            .ok_or_else(|| KgmError::NotFound("SM_Attribute".into()))?;
-        let name = g
-            .node_prop(attr, "name")
-            .map(|v| v.to_string())
-            .unwrap_or_default();
+        let name = attr_name(attr_oid)?;
         data.set_edge_prop(e, &name, t[2].clone())?;
         stats.new_attrs += 1;
     }

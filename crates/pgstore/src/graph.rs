@@ -190,6 +190,17 @@ impl PropertyGraph {
             .into_iter()
             .map(|(k, v)| (self.sym(&k), v))
             .collect();
+        self.add_node_syms(labels, props)
+    }
+
+    /// [`PropertyGraph::add_node`] with labels and keys already interned in
+    /// this graph's interner ([`PropertyGraph::sym`]). Bulk loaders intern
+    /// their vocabulary once and insert through this.
+    pub fn add_node_syms(
+        &mut self,
+        labels: Vec<Symbol>,
+        props: Vec<(Symbol, Value)>,
+    ) -> Result<NodeId> {
         self.check_unique_on_insert(&labels, &props)?;
         let oid = self.oid_gen.fresh();
         let id = NodeId(u32::try_from(self.nodes.len()).expect("node arena overflow"));
@@ -221,17 +232,29 @@ impl PropertyGraph {
     where
         P: IntoIterator<Item = (String, Value)>,
     {
+        let label = self.sym(label);
+        let props: Vec<(Symbol, Value)> = props
+            .into_iter()
+            .map(|(k, v)| (self.sym(&k), v))
+            .collect();
+        self.add_edge_sym(from, to, label, props)
+    }
+
+    /// [`PropertyGraph::add_edge`] with the label and keys already interned
+    /// in this graph's interner.
+    pub fn add_edge_sym(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        label: Symbol,
+        props: Vec<(Symbol, Value)>,
+    ) -> Result<EdgeId> {
         if !self.is_live_node(from) {
             return Err(KgmError::NotFound(format!("edge source {from:?}")));
         }
         if !self.is_live_node(to) {
             return Err(KgmError::NotFound(format!("edge target {to:?}")));
         }
-        let label = self.sym(label);
-        let props: Vec<(Symbol, Value)> = props
-            .into_iter()
-            .map(|(k, v)| (self.sym(&k), v))
-            .collect();
         let oid = self.oid_gen.fresh();
         let id = EdgeId(u32::try_from(self.edges.len()).expect("edge arena overflow"));
         self.edges.push(EdgeData {
@@ -437,13 +460,23 @@ impl PropertyGraph {
     /// Read a node property.
     pub fn node_prop(&self, id: NodeId, key: &str) -> Option<&Value> {
         let k = self.interner.get(key)?;
-        prop_of(&self.nodes[id.0 as usize].props, k)
+        self.node_prop_sym(id, k)
     }
 
     /// Read an edge property.
     pub fn edge_prop(&self, id: EdgeId, key: &str) -> Option<&Value> {
         let k = self.interner.get(key)?;
-        prop_of(&self.edges[id.0 as usize].props, k)
+        self.edge_prop_sym(id, k)
+    }
+
+    /// Read a node property by its interned key.
+    pub fn node_prop_sym(&self, id: NodeId, key: Symbol) -> Option<&Value> {
+        prop_of(&self.nodes[id.0 as usize].props, key)
+    }
+
+    /// Read an edge property by its interned key.
+    pub fn edge_prop_sym(&self, id: EdgeId, key: Symbol) -> Option<&Value> {
+        prop_of(&self.edges[id.0 as usize].props, key)
     }
 
     /// All properties of a node as (name, value) pairs.

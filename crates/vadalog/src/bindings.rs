@@ -14,9 +14,9 @@
 //! the equivalent Cypher fragment, which `kgm-pgstore::cypher` can parse and
 //! run.
 
-use kgm_common::{FxHashMap, KgmError, Oid, OidSpace, Result, Value};
-use kgm_pgstore::PropertyGraph;
-use kgm_relstore::Catalog;
+use kgm_common::{FxHashMap, KgmError, Oid, OidSpace, Result, Symbol, Value};
+use kgm_pgstore::{EdgeId, NodeId, PropertyGraph};
+use kgm_relstore::{Catalog, Row};
 use std::sync::Arc;
 
 /// The reserved labelled null standing for an absent optional property.
@@ -125,32 +125,27 @@ impl SourceRegistry {
             .ok_or_else(|| KgmError::NotFound(format!("catalog source `{name}`")))
     }
 
-    /// Materialize the facts of one binding.
-    ///
-    /// The returned order must be deterministic (graph scans iterate in
-    /// insertion order, table scans in row order): the chase's
-    /// bit-identical-output guarantee across worker counts is stated
-    /// relative to the initial `FactDb` contents, so a loader that ordered
-    /// facts by hash-map iteration would silently void it.
-    pub fn load(&self, binding: &InputBinding) -> Result<Vec<Vec<Value>>> {
-        match &binding.source {
-            InputSource::Facts => Ok(Vec::new()),
+    /// Resolve one binding against its source for a borrowing scan: the
+    /// element list is taken and the property keys are resolved to the
+    /// graph's symbols once, but no row is built until
+    /// [`Scan::for_each`] hands them out.
+    pub(crate) fn scan(&self, binding: &InputBinding) -> Result<Scan<'_>> {
+        let keys = |g: &PropertyGraph, props: &[String]| -> Vec<Option<Symbol>> {
+            props.iter().map(|p| g.interner().get(p)).collect()
+        };
+        Ok(match &binding.source {
+            InputSource::Facts => Scan::Rows(Vec::new()),
             InputSource::PgNodes {
                 graph,
                 label,
                 props,
             } => {
                 let g = self.graph(graph)?;
-                let mut out = Vec::new();
-                for n in g.nodes_with_label(label) {
-                    let mut tuple = Vec::with_capacity(1 + props.len());
-                    tuple.push(Value::Oid(g.node_oid(n)));
-                    for p in props {
-                        tuple.push(g.node_prop(n, p).cloned().unwrap_or_else(absent));
-                    }
-                    out.push(tuple);
+                Scan::Nodes {
+                    ids: g.nodes_with_label(label),
+                    keys: keys(g, props),
+                    g,
                 }
-                Ok(out)
             }
             InputSource::PgEdges {
                 graph,
@@ -158,32 +153,99 @@ impl SourceRegistry {
                 props,
             } => {
                 let g = self.graph(graph)?;
-                let mut out = Vec::new();
-                for e in g.edges_with_label(label) {
-                    let (f, t) = g.edge_endpoints(e);
-                    let mut tuple = Vec::with_capacity(3 + props.len());
-                    tuple.push(Value::Oid(g.edge_oid(e)));
-                    tuple.push(Value::Oid(g.node_oid(f)));
-                    tuple.push(Value::Oid(g.node_oid(t)));
-                    for p in props {
-                        tuple.push(g.edge_prop(e, p).cloned().unwrap_or_else(absent));
-                    }
-                    out.push(tuple);
+                Scan::Edges {
+                    ids: g.edges_with_label(label),
+                    keys: keys(g, props),
+                    g,
                 }
-                Ok(out)
             }
             InputSource::RelTable { catalog, table } => {
-                let c = self.catalog(catalog)?;
-                Ok(c.scan(table)?
-                    .into_iter()
-                    .map(|row| {
-                        row.into_iter()
-                            .map(|cell| cell.unwrap_or_else(absent))
-                            .collect()
-                    })
-                    .collect())
+                Scan::Rows(self.catalog(catalog)?.scan(table)?)
+            }
+        })
+    }
+}
+
+/// The rows of one binding, resolved by [`SourceRegistry::scan`].
+///
+/// Row order is deterministic: graph scans follow insertion order, table
+/// scans row order. The chase's bit-identical-output guarantee across
+/// worker counts is stated relative to the initial `FactDb` contents, so a
+/// scan that ordered rows by hash-map iteration would silently void it.
+pub(crate) enum Scan<'a> {
+    /// `label`-nodes; tuple = `(oid, props...)`.
+    Nodes {
+        /// The scanned graph.
+        g: &'a PropertyGraph,
+        /// Live nodes carrying the label.
+        ids: Vec<NodeId>,
+        /// Property keys in tuple order; `None` for a key the graph never
+        /// interned (no element has it).
+        keys: Vec<Option<Symbol>>,
+    },
+    /// `label`-edges; tuple = `(oid, from_oid, to_oid, props...)`.
+    Edges {
+        /// The scanned graph.
+        g: &'a PropertyGraph,
+        /// Live edges carrying the label.
+        ids: Vec<EdgeId>,
+        /// Property keys in tuple order, as for `Nodes`.
+        keys: Vec<Option<Symbol>>,
+    },
+    /// Table rows (NULLs become [`absent`]); empty for in-memory facts.
+    Rows(Vec<Row>),
+}
+
+impl Scan<'_> {
+    /// Number of rows the scan yields.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Scan::Nodes { ids, .. } => ids.len(),
+            Scan::Edges { ids, .. } => ids.len(),
+            Scan::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// Hand every row to `sink`, in order, through one reused buffer.
+    /// Stops at the first error `sink` returns.
+    pub(crate) fn for_each(self, mut sink: impl FnMut(&[Value]) -> Result<()>) -> Result<()> {
+        let mut row: Vec<Value> = Vec::new();
+        let prop = |v: Option<&Value>| v.cloned().unwrap_or_else(absent);
+        match self {
+            Scan::Nodes { g, ids, keys } => {
+                for n in ids {
+                    row.clear();
+                    row.push(Value::Oid(g.node_oid(n)));
+                    row.extend(
+                        keys.iter()
+                            .map(|k| prop(k.and_then(|k| g.node_prop_sym(n, k)))),
+                    );
+                    sink(&row)?;
+                }
+            }
+            Scan::Edges { g, ids, keys } => {
+                for e in ids {
+                    let (f, t) = g.edge_endpoints(e);
+                    row.clear();
+                    row.push(Value::Oid(g.edge_oid(e)));
+                    row.push(Value::Oid(g.node_oid(f)));
+                    row.push(Value::Oid(g.node_oid(t)));
+                    row.extend(
+                        keys.iter()
+                            .map(|k| prop(k.and_then(|k| g.edge_prop_sym(e, k)))),
+                    );
+                    sink(&row)?;
+                }
+            }
+            Scan::Rows(rows) => {
+                for r in rows {
+                    row.clear();
+                    row.extend(r.into_iter().map(|cell| cell.unwrap_or_else(absent)));
+                    sink(&row)?;
+                }
             }
         }
+        Ok(())
     }
 }
 
@@ -192,6 +254,16 @@ mod tests {
     use super::*;
     use kgm_common::ValueType;
     use kgm_relstore::{Column, TableSchema};
+
+    /// Every row of a binding's scan, copied out of the reused buffer.
+    fn rows(reg: &SourceRegistry, b: &InputBinding) -> Result<Vec<Vec<Value>>> {
+        let mut out = Vec::new();
+        reg.scan(b)?.for_each(|row| {
+            out.push(row.to_vec());
+            Ok(())
+        })?;
+        Ok(out)
+    }
 
     #[test]
     fn node_binding_loads_oid_and_props() {
@@ -212,7 +284,7 @@ mod tests {
                 props: vec!["name".into(), "website".into()],
             },
         };
-        let facts = reg.load(&b).unwrap();
+        let facts = rows(&reg, &b).unwrap();
         assert_eq!(facts.len(), 1);
         assert_eq!(facts[0].len(), 3);
         assert_eq!(facts[0][1], Value::str("ACME"));
@@ -242,7 +314,7 @@ mod tests {
                 props: vec!["percentage".into()],
             },
         };
-        let facts = reg.load(&binding).unwrap();
+        let facts = rows(&reg, &binding).unwrap();
         assert_eq!(facts.len(), 1);
         assert_eq!(facts[0][1], Value::Oid(ao));
         assert_eq!(facts[0][2], Value::Oid(bo));
@@ -273,7 +345,7 @@ mod tests {
                 table: "t".into(),
             },
         };
-        let facts = reg.load(&b).unwrap();
+        let facts = rows(&reg, &b).unwrap();
         assert_eq!(facts, vec![vec![Value::Int(1), absent()]]);
     }
 
@@ -288,7 +360,7 @@ mod tests {
                 props: vec![],
             },
         };
-        assert!(reg.load(&b).is_err());
+        assert!(reg.scan(&b).is_err());
     }
 
     #[test]

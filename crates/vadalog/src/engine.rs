@@ -884,14 +884,22 @@ impl Engine {
         &self.skolems
     }
 
-    /// Load every `@input` binding of the program from `registry` into `db`.
+    /// Load every `@input` binding of the program from `registry` into `db`,
+    /// streaming each binding's scan into the store. Each binding gets an
+    /// `engine.load_input` span (detail: the predicate) with counters
+    /// `rows` (scanned) and `inserted` (new facts).
     pub fn load_inputs(&self, registry: &SourceRegistry, db: &mut FactDb) -> Result<usize> {
         let _span =
             kgm_runtime::span!("engine.load_inputs", "{} inputs", self.program.inputs.len());
         let mut n = 0;
         for b in &self.program.inputs {
-            let facts = registry.load(b)?;
-            n += db.add_facts(&b.predicate, facts)?;
+            let _input = kgm_runtime::span!("engine.load_input", "{}", b.predicate);
+            let scan = registry.scan(b)?;
+            let rows = scan.len();
+            let inserted = db.add_scan(&b.predicate, scan)?;
+            telemetry::record("rows", rows as i64);
+            telemetry::record("inserted", inserted as i64);
+            n += inserted;
         }
         Ok(n)
     }

@@ -38,6 +38,7 @@
 //! re-inserting the same tuple appends a fresh row under a fresh id: ids name
 //! insertion events, not tuples.
 
+use crate::bindings::Scan;
 use kgm_common::{FxHashMap, FxHashSet, FxHasher, KgmError, Result, Value, ValuePool};
 use std::hash::Hasher;
 use std::ops::Range;
@@ -774,6 +775,31 @@ impl FactDb {
                 n += 1;
             }
         }
+        Ok(n)
+    }
+
+    /// Stream a binding's [`Scan`] into `predicate`: the relation is
+    /// resolved once and sized for the scan, and each row is interned
+    /// straight from the scan's buffer. Returns the number of new facts. An
+    /// empty scan creates no relation, like an empty [`FactDb::add_facts`].
+    pub(crate) fn add_scan(&mut self, predicate: &str, scan: Scan<'_>) -> Result<usize> {
+        let mut pid = None;
+        let len = scan.len();
+        let mut n = 0;
+        scan.for_each(|row| {
+            let pid = match pid {
+                Some(pid) => pid,
+                None => {
+                    let id = self.relation_id(predicate, row.len())?;
+                    self.rels[id as usize].reserve(len);
+                    *pid.insert(id)
+                }
+            };
+            if self.insert_at(pid, row)?.is_some() {
+                n += 1;
+            }
+            Ok(())
+        })?;
         Ok(n)
     }
 

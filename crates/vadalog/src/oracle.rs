@@ -16,19 +16,18 @@
 //!   `(rule, variable, frontier)`, and the aggregate combine tables —
 //!   while re-implementing all control flow from scratch.
 //! - [`canonical_facts`] renders a database into a canonical text form in
-//!   which labelled nulls and Skolem OIDs are renumbered by a greedy
-//!   canonical labelling, so two chase runs can be compared for
-//!   *isomorphism* (set equality modulo a bijective renaming of invented
-//!   values) rather than payload-exact equality — null payloads depend on
-//!   mint order, which is an implementation detail.
+//!   which labelled nulls and Skolem OIDs are renumbered by a canonical
+//!   labelling, so two chase runs can be compared for *isomorphism* (set
+//!   equality modulo a bijective renaming of invented values) rather than
+//!   payload-exact equality — null payloads depend on mint order, which is
+//!   an implementation detail.
 //!
-//! Equal canonical forms always mean genuinely isomorphic databases (the
-//! canonical text determines the structure up to renaming). The greedy
-//! labelling is a refinement heuristic, so in pathologically symmetric
-//! databases two isomorphic runs could in principle canonicalize
-//! differently — a false *alarm*, never a false *pass* — but the chase
-//! distinguishes every null by its ground frontier context, so this does
-//! not arise for chase outputs.
+//! The canonical form is exact: two databases get equal forms if and only
+//! if they are isomorphic. Colour refinement of the invented values orders
+//! most facts outright; where facts still tie, the labelling branches and
+//! keeps the least outcome, pruning branches an automorphism maps onto
+//! explored ones. A search that would pass `MAX_CANON_LEAVES` leaves panics
+//! rather than return a form that might not be canonical.
 
 use crate::analysis::{AggMode, ProgramAnalysis};
 use crate::ast::{Aggregate, AggregateFunc, BinOp, Program, Rule, RuleStep, Term, Var};
@@ -938,16 +937,31 @@ fn eval_exact_rule(
 // Canonical labelled-null isomorphism
 // ---------------------------------------------------------------------------
 
-/// One term of a fact under canonicalization, ordered so that ground
-/// values sort before already-canonicalized invented values, which sort
-/// before not-yet-assigned ones (compared by their first-occurrence
-/// pattern *within* the fact — `p(ν1, ν1)` and `p(ν2, ν3)` get different
-/// keys regardless of payloads).
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-enum CanonKey {
+/// A term of a fact under canonicalization: ground values carry their
+/// type-tagged text (`to_text` is type-tagged, `I:3` vs `S:3`, so distinct
+/// values never collide and the ordering is deterministic); invented
+/// values carry their OID and space rank.
+enum CanonTerm {
     Ground(String),
+    Invented(Oid, u8),
+}
+
+/// One fact of the dump, its ground terms rendered once.
+struct CanonFact {
+    pred: String,
+    terms: Vec<CanonTerm>,
+}
+
+/// Renaming-invariant sort key of one term: ground values sort before
+/// already-canonicalized invented values, which sort before not-yet-assigned
+/// ones. An unassigned value is compared by its refinement colour, then by
+/// its first-occurrence position *within* the fact — `p(ν1, ν1)` and
+/// `p(ν2, ν3)` get different keys regardless of payloads.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum CanonKey<'a> {
+    Ground(&'a str),
     Assigned(u8, usize),
-    Local(u8, usize),
+    Local(u8, usize, usize),
 }
 
 fn space_rank(space: OidSpace) -> u8 {
@@ -958,39 +972,218 @@ fn space_rank(space: OidSpace) -> u8 {
     }
 }
 
-fn is_invented(v: &Value) -> Option<(Oid, u8)> {
-    match v {
-        Value::Oid(o) if o.space() != OidSpace::Ground => Some((*o, space_rank(o.space()))),
-        _ => None,
+/// Colour refinement of the invented values: start from the space rank,
+/// then repeatedly split each colour class by the multiset of facts a value
+/// occurs in (predicate, its position, and every other term as ground text
+/// or current colour) until the number of classes stops growing. Colours
+/// are ranks of sorted signatures, so they are invariant under renaming.
+fn refine_colours(facts: &[CanonFact]) -> FxHashMap<Oid, usize> {
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    enum Sig<'a> {
+        Ground(&'a str),
+        Colour(usize),
+        Itself,
+    }
+    type Signature<'a> = (usize, Vec<(&'a str, usize, Vec<Sig<'a>>)>);
+    let mut occurs: FxHashMap<Oid, Vec<(usize, usize)>> = FxHashMap::default();
+    let mut colour: FxHashMap<Oid, usize> = FxHashMap::default();
+    for (fi, f) in facts.iter().enumerate() {
+        for (pos, t) in f.terms.iter().enumerate() {
+            if let CanonTerm::Invented(oid, rank) = t {
+                occurs.entry(*oid).or_default().push((fi, pos));
+                colour.insert(*oid, *rank as usize);
+            }
+        }
+    }
+    let mut oids: Vec<Oid> = occurs.keys().copied().collect();
+    oids.sort();
+    let mut classes = oids
+        .iter()
+        .map(|o| colour[o])
+        .collect::<FxHashSet<_>>()
+        .len();
+    loop {
+        let sigs: Vec<Signature> = oids
+            .iter()
+            .map(|oid| {
+                let mut occ: Vec<(&str, usize, Vec<Sig>)> = occurs[oid]
+                    .iter()
+                    .map(|&(fi, pos)| {
+                        let f = &facts[fi];
+                        let terms = f
+                            .terms
+                            .iter()
+                            .map(|t| match t {
+                                CanonTerm::Ground(g) => Sig::Ground(g),
+                                CanonTerm::Invented(o, _) if o == oid => Sig::Itself,
+                                CanonTerm::Invented(o, _) => Sig::Colour(colour[o]),
+                            })
+                            .collect();
+                        (f.pred.as_str(), pos, terms)
+                    })
+                    .collect();
+                occ.sort();
+                (colour[oid], occ)
+            })
+            .collect();
+        let mut distinct: Vec<&Signature> = sigs.iter().collect();
+        distinct.sort();
+        distinct.dedup();
+        if distinct.len() == classes {
+            return colour;
+        }
+        classes = distinct.len();
+        let next: Vec<usize> = sigs
+            .iter()
+            .map(|s| distinct.binary_search(&s).expect("own signature"))
+            .collect();
+        for (oid, c) in oids.iter().zip(next) {
+            colour.insert(*oid, c);
+        }
     }
 }
 
-fn ground_key(v: &Value) -> String {
-    // `to_text` is type-tagged (`I:3` vs `S:3`), so distinct values never
-    // collide and the ordering is deterministic.
-    v.to_text()
+/// Cap on the leaves of one canonical labelling search. Automorphism
+/// pruning keeps symmetric databases far below it; hitting it panics
+/// rather than return a form that might not be canonical.
+const MAX_CANON_LEAVES: usize = 1 << 16;
+
+/// A partial labelling: facts still to place, the canonical ids handed out
+/// so far, and the lines rendered under them.
+#[derive(Clone)]
+struct Labelling {
+    remaining: Vec<usize>,
+    assigned: FxHashMap<Oid, usize>,
+    next: [usize; 3],
+    lines: Vec<String>,
 }
 
-fn fact_key(
-    pred: &str,
-    tuple: &[Value],
-    assigned: &FxHashMap<Oid, usize>,
-) -> (String, Vec<CanonKey>) {
-    let mut local: FxHashMap<Oid, usize> = FxHashMap::default();
-    let keys = tuple
-        .iter()
-        .map(|v| match is_invented(v) {
-            Some((oid, rank)) => match assigned.get(&oid) {
-                Some(&id) => CanonKey::Assigned(rank, id),
-                None => {
-                    let next = local.len();
-                    CanonKey::Local(rank, *local.entry(oid).or_insert(next))
+/// The exact canonical labelling: greedy placement of the minimal fact
+/// under the renaming-invariant key, branching where several facts tie
+/// with unassigned values and keeping the least outcome (the sorted line
+/// list). Branches are invariant under renaming, so isomorphic databases
+/// explore the same outcome set and get the same least one.
+struct Canon<'a> {
+    facts: &'a [CanonFact],
+    colour: FxHashMap<Oid, usize>,
+    leaves: usize,
+}
+
+impl Canon<'_> {
+    fn key<'f>(&self, f: &'f CanonFact, assigned: &FxHashMap<Oid, usize>) -> Vec<CanonKey<'f>> {
+        let mut local: Vec<Oid> = Vec::new();
+        f.terms
+            .iter()
+            .map(|t| match t {
+                CanonTerm::Ground(g) => CanonKey::Ground(g),
+                CanonTerm::Invented(oid, rank) => match assigned.get(oid) {
+                    Some(&id) => CanonKey::Assigned(*rank, id),
+                    None => {
+                        let at = local.iter().position(|o| o == oid).unwrap_or_else(|| {
+                            local.push(*oid);
+                            local.len() - 1
+                        });
+                        CanonKey::Local(*rank, self.colour[oid], at)
+                    }
+                },
+            })
+            .collect()
+    }
+
+    /// Place fact `at` of `l.remaining`: assign canonical ids to its
+    /// unassigned invented values left to right and render its line.
+    fn place(&self, l: &mut Labelling, at: usize) {
+        let f = &self.facts[l.remaining.swap_remove(at)];
+        let rendered: Vec<String> = f
+            .terms
+            .iter()
+            .map(|t| match t {
+                CanonTerm::Ground(g) => g.clone(),
+                CanonTerm::Invented(oid, rank) => {
+                    let id = *l.assigned.entry(*oid).or_insert_with(|| {
+                        let id = l.next[*rank as usize];
+                        l.next[*rank as usize] += 1;
+                        id
+                    });
+                    let sigil = if *rank == 1 { "ν" } else { "σ" };
+                    format!("{sigil}{id}")
                 }
-            },
-            None => CanonKey::Ground(ground_key(v)),
-        })
-        .collect();
-    (pred.to_string(), keys)
+            })
+            .collect();
+        l.lines.push(format!("{}({})", f.pred, rendered.join(", ")));
+    }
+
+    /// Complete `l` to its least outcome. `targets[d]` is the least outcome
+    /// found so far under the earlier siblings at the `d`-th enclosing tie.
+    /// A leaf equal to it proves the current branch at that tie is the image
+    /// of an earlier one under an automorphism fixing everything placed
+    /// before the tie, so its whole subtree repeats known outcomes:
+    /// `Err(d)` abandons it.
+    fn complete(
+        &mut self,
+        mut l: Labelling,
+        targets: &mut Vec<Option<Vec<String>>>,
+    ) -> std::result::Result<Vec<String>, usize> {
+        loop {
+            if l.remaining.is_empty() {
+                self.leaves += 1;
+                assert!(
+                    self.leaves <= MAX_CANON_LEAVES,
+                    "canonical labelling explored more than {MAX_CANON_LEAVES} branches"
+                );
+                let mut lines = l.lines;
+                lines.sort();
+                return match targets.iter().position(|t| t.as_ref() == Some(&lines)) {
+                    Some(d) => Err(d),
+                    None => Ok(lines),
+                };
+            }
+            let keys: Vec<(&str, Vec<CanonKey>)> = l
+                .remaining
+                .iter()
+                .map(|&fi| {
+                    (
+                        self.facts[fi].pred.as_str(),
+                        self.key(&self.facts[fi], &l.assigned),
+                    )
+                })
+                .collect();
+            let min = keys.iter().min().expect("nonempty");
+            let ties: Vec<usize> = (0..keys.len()).filter(|&i| &keys[i] == min).collect();
+            let opens = min.1.iter().any(|k| matches!(k, CanonKey::Local(..)));
+            if ties.len() == 1 || !opens {
+                // Facts with equal keys and no unassigned value render the
+                // same line: any of them is the one.
+                let at = ties[0];
+                drop(keys);
+                self.place(&mut l, at);
+                continue;
+            }
+            drop(keys);
+            let depth = targets.len();
+            targets.push(None);
+            let mut best: Option<Vec<String>> = None;
+            for at in ties {
+                let mut child = l.clone();
+                self.place(&mut child, at);
+                match self.complete(child, targets) {
+                    Ok(out) => {
+                        if best.as_ref().is_none_or(|b| out < *b) {
+                            targets[depth] = Some(out.clone());
+                            best = Some(out);
+                        }
+                    }
+                    Err(d) if d == depth => {}
+                    Err(d) => {
+                        targets.pop();
+                        return Err(d);
+                    }
+                }
+            }
+            targets.pop();
+            return Ok(best.expect("the first branch has no earlier sibling to match"));
+        }
+    }
 }
 
 /// Render a database as sorted canonical fact lines: ground values print
@@ -1027,40 +1220,51 @@ pub fn canonical_facts_rows(db: &RowDb) -> Vec<String> {
     canonical_lines(facts)
 }
 
-/// The greedy canonical labelling over a flat fact dump — shared by both
-/// storage representations so their canonical forms are directly comparable.
-fn canonical_lines(mut facts: Vec<(String, Vec<Value>)>) -> Vec<String> {
-    let mut assigned: FxHashMap<Oid, usize> = FxHashMap::default();
-    let mut next: [usize; 3] = [0; 3];
+/// The canonical labelling over a flat fact dump — shared by both storage
+/// representations so their canonical forms are directly comparable.
+fn canonical_lines(facts: Vec<(String, Vec<Value>)>) -> Vec<String> {
     let mut lines: Vec<String> = Vec::with_capacity(facts.len());
-    while !facts.is_empty() {
-        // Greedy canonical labelling: repeatedly pick the minimal fact
-        // under the renaming-invariant key, then assign canonical ids to
-        // its unassigned invented values left to right.
-        let (idx, _) = facts
+    let mut open: Vec<CanonFact> = Vec::new();
+    for (pred, tuple) in facts {
+        let terms: Vec<CanonTerm> = tuple
             .iter()
-            .enumerate()
-            .map(|(i, (p, t))| (i, fact_key(p, t, &assigned)))
-            .min_by(|a, b| a.1.cmp(&b.1))
-            .expect("nonempty");
-        let (pred, tuple) = facts.swap_remove(idx);
-        let rendered: Vec<String> = tuple
-            .iter()
-            .map(|v| match is_invented(v) {
-                Some((oid, rank)) => {
-                    let id = *assigned.entry(oid).or_insert_with(|| {
-                        let id = next[rank as usize];
-                        next[rank as usize] += 1;
-                        id
-                    });
-                    let sigil = if rank == 1 { "ν" } else { "σ" };
-                    format!("{sigil}{id}")
+            .map(|v| match v {
+                Value::Oid(o) if o.space() != OidSpace::Ground => {
+                    CanonTerm::Invented(*o, space_rank(o.space()))
                 }
-                None => ground_key(v),
+                _ => CanonTerm::Ground(v.to_text()),
             })
             .collect();
-        lines.push(format!("{pred}({})", rendered.join(", ")));
+        if terms.iter().all(|t| matches!(t, CanonTerm::Ground(_))) {
+            // Ground facts render the same under every labelling and
+            // assign nothing: no need to place them.
+            let ground: Vec<String> = terms
+                .into_iter()
+                .map(|t| match t {
+                    CanonTerm::Ground(g) => g,
+                    CanonTerm::Invented(..) => unreachable!(),
+                })
+                .collect();
+            lines.push(format!("{pred}({})", ground.join(", ")));
+        } else {
+            open.push(CanonFact { pred, terms });
+        }
     }
+    let mut canon = Canon {
+        colour: refine_colours(&open),
+        facts: &open,
+        leaves: 0,
+    };
+    let start = Labelling {
+        remaining: (0..open.len()).collect(),
+        assigned: FxHashMap::default(),
+        next: [0; 3],
+        lines: Vec::new(),
+    };
+    let placed = canon
+        .complete(start, &mut Vec::new())
+        .expect("no enclosing tie at the root");
+    lines.extend(placed);
     lines.sort();
     lines
 }
@@ -1331,5 +1535,71 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, KgmError::ResourceExhausted(_)), "{err:?}");
+    }
+
+    fn null(n: u64) -> Value {
+        Value::Oid(Oid::new(OidSpace::Null, n))
+    }
+
+    /// Facts `e(νa, νb)` for each pair, nulls numbered by the caller.
+    fn null_edges(pairs: &[(u64, u64)]) -> Vec<(String, Vec<Value>)> {
+        pairs
+            .iter()
+            .map(|&(a, b)| ("e".to_string(), vec![null(a), null(b)]))
+            .collect()
+    }
+
+    #[test]
+    fn canonical_form_ignores_null_swaps_the_greedy_order_missed() {
+        // The shape of the incremental suite's false alarm: two x0 facts tie
+        // on the greedy key, and only the c3 facts tell their nulls apart.
+        let dump = |a: u64, b: u64, c: u64, d: u64| {
+            vec![
+                ("x0".to_string(), vec![Value::Int(-2), null(a), null(b)]),
+                ("x0".to_string(), vec![Value::Int(1), null(c), null(d)]),
+                ("c3".to_string(), vec![null(b), null(b)]),
+                ("c3".to_string(), vec![null(d), null(d)]),
+                ("e1".to_string(), vec![Value::Int(1), null(b)]),
+            ]
+        };
+        let left = canonical_fact_lines(dump(1, 2, 3, 4));
+        assert_eq!(left, canonical_fact_lines(dump(4, 3, 2, 1)));
+        assert_eq!(left, canonical_fact_lines(dump(2, 4, 1, 3)));
+        let mut moved = dump(1, 2, 3, 4);
+        moved[4].1[1] = null(4);
+        assert_ne!(left, canonical_fact_lines(moved), "e1 pins the x0(-2) side");
+    }
+
+    #[test]
+    fn canonical_form_separates_what_refinement_cannot() {
+        // A 6-cycle and two 3-cycles are both 2-regular: colour refinement
+        // gives every null one colour, and only the branching tells them
+        // apart. Relabelled 6-cycles must still agree.
+        let cycle = |ring: &[u64]| -> Vec<(u64, u64)> {
+            (0..ring.len())
+                .map(|i| (ring[i], ring[(i + 1) % ring.len()]))
+                .collect()
+        };
+        let six = canonical_fact_lines(null_edges(&cycle(&[1, 2, 3, 4, 5, 6])));
+        let two_threes =
+            canonical_fact_lines(null_edges(&[cycle(&[1, 2, 3]), cycle(&[4, 5, 6])].concat()));
+        assert_ne!(six, two_threes);
+        let six_again = canonical_fact_lines(null_edges(&cycle(&[9, 4, 7, 2, 8, 5])));
+        assert_eq!(six, six_again);
+    }
+
+    #[test]
+    fn symmetric_components_stay_cheap() {
+        // 12 interchangeable 3-cycles: 12! tie orders without automorphism
+        // pruning, well under `MAX_CANON_LEAVES` with it.
+        let mut pairs = Vec::new();
+        for c in 0..12u64 {
+            let b = 3 * c + 1;
+            pairs.extend([(b, b + 1), (b + 1, b + 2), (b + 2, b)]);
+        }
+        let forward = canonical_fact_lines(null_edges(&pairs));
+        pairs.reverse();
+        let reversed: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (100 - a, 100 - b)).collect();
+        assert_eq!(forward, canonical_fact_lines(null_edges(&reversed)));
     }
 }

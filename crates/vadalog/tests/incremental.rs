@@ -198,3 +198,36 @@ fn incremental_updates_match_from_scratch_without_provenance() {
         },
     );
 }
+
+/// The minimal case of a false alarm at `KGM_PROP_SEED=7739274741335355248
+/// KGM_PROP_CASES=1500` (case 325): the two sides held the same facts with
+/// two `x0` nulls swapped, and the canonical form, then a greedy labelling,
+/// rendered them differently.
+#[test]
+fn swapped_nulls_compare_equal() {
+    let case = GenCase {
+        fact_lines: ["e1(1, 1, -2).", "e1(2, 1, -1).", "e1(3, -2, -1)."]
+            .map(String::from)
+            .to_vec(),
+        rule_lines: [
+            "e1(X, Y, Z) -> x0(Y, U, V).",
+            "x0(X, Y, Z), X >= 0 || X < 0 -> c3(Z, Z).",
+        ]
+        .map(String::from)
+        .to_vec(),
+    };
+    let int = |v: [i64; 3]| v.map(Value::Int).to_vec();
+    let batch = UpdateBatch {
+        inserts: vec![("e1".to_string(), int([3, 1, 2]))],
+        deletes: vec![
+            (
+                "e0".to_string(),
+                vec![Value::Float(0.5), Value::Int(-1), Value::Int(-2)],
+            ),
+            ("e1".to_string(), int([1, 1, -2])),
+        ],
+    };
+    if let Err(e) = incremental_matches_scratch(&(case, vec![batch]), 1, true) {
+        panic!("{e:?}");
+    }
+}

@@ -124,6 +124,15 @@ for threads in 1 4; do
 done
 echo "ok: 64-case fixed-seed differential run agrees at 1 and 4 threads"
 
+echo "== Algorithm 2 mode conformance smoke =="
+# Fixed-seed run of the Algorithm 2 property test: on seeded random
+# registries (some businesses labelled [Person, Business], some
+# [Business, Person]) single-pass and staged materialization must write
+# exactly the control pairs of the native baseline algorithm.
+KGM_PROP_SEED=20220046 cargo test --release --offline -q \
+    --test algorithm2_modes >/dev/null
+echo "ok: single-pass, staged and baseline control agree on fixed-seed registries"
+
 echo "== frozen goldens =="
 # Goldens must match byte-for-byte; KGM_GOLDEN_FROZEN forbids blessing and
 # turns a missing golden file into a failure.
